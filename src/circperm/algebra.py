@@ -155,45 +155,54 @@ class Recurrence:
         return f"T(n) = {rhs}"
 
 
-def _solve_consistent(rows: list[list[Fraction]], rhs: list[Fraction],
-                      unknowns: int) -> Optional[list[Fraction]]:
-    """Any exact solution of rows * c = rhs, or None when inconsistent.
-    Free variables are set to zero."""
-    aug = [row[:] + [r] for row, r in zip(rows, rhs)]
-    m = len(aug)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(unknowns):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
+# held-out terms every fit is re-checked on after it is found
+GUARD = 4
+
+
+def fit_term_count(degree_cap: int) -> int:
+    """Terms a pipeline generates for a fit up to order `degree_cap`: the
+    2*cap that pin a recurrence down, the guard, and two spare."""
+    return 2 * degree_cap + GUARD + 2
+
+
+def _berlekamp_massey(terms: Sequence) -> tuple[int, list[Fraction]]:
+    """Shortest linear recurrence generating `terms` (Massey 1969), as
+    (order, c) with terms[j] = sum_l c[l-1] * terms[j-l] for j >= order.
+    Exact over the rationals; the order is 0 only for an all-zero input."""
+    conn = [Fraction(1)]         # connection polynomial, conn[0] = 1
+    prev = [Fraction(1)]         # its value before the last length change
+    order, gap, prev_disc = 0, 1, Fraction(1)
+    for n, t in enumerate(terms):
+        disc = t + sum(conn[i] * terms[n - i]
+                       for i in range(1, min(len(conn), order + 1)) if conn[i])
+        if disc == 0:
+            gap += 1
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][unknowns] != 0:
-            return None
-    sol = [Fraction(0)] * unknowns
-    for row, col in pivots:
-        sol[col] = aug[row][unknowns]
-    return sol
+        f = Fraction(disc) / prev_disc     # the two may both be ints
+        grown = conn + [Fraction(0)] * max(0, len(prev) + gap - len(conn))
+        for i, v in enumerate(prev):
+            if v:
+                grown[i + gap] -= f * v
+        if 2 * order <= n:
+            prev, prev_disc = conn, disc
+            order, gap = n + 1 - order, 1
+        else:
+            gap += 1
+        conn = grown
+    conn += [Fraction(0)] * (order + 1 - len(conn))
+    return order, [-v for v in conn[1:order + 1]]
 
 
 def min_recurrence(terms: Sequence, base: int, degree_cap: int,
-                   guard: int = 4) -> Recurrence:
+                   guard: int = GUARD) -> Recurrence:
     """Minimal-order exact linear recurrence fitted to `terms`.
 
-    Works up from order 1, solving the (overdetermined) Hankel-window system
-    over the fit region exactly and re-validating on `guard` held-out terms;
-    the returned order is the smallest that reproduces everything.
+    Berlekamp-Massey over the rationals on all but the last `guard` terms
+    finds the shortest recurrence of that fit region in O(N^2); with at
+    least 2*degree_cap terms there it is the unique one of its order.  The
+    result is then re-checked on every term, the held-out guard included.
+    An all-zero sequence gets order 1 with coefficient 0.  Raises
+    NoRecurrenceError when no order <= degree_cap reproduces every term.
     """
     if guard < 4:
         raise InconsistencyError("guard must be at least 4")
@@ -201,19 +210,18 @@ def min_recurrence(terms: Sequence, base: int, degree_cap: int,
     if len(terms) < 2 * degree_cap + guard:
         raise InconsistencyError(
             f"need at least {2 * degree_cap + guard} terms, got {len(terms)}")
-    fit_len = len(terms) - guard
-    for d in range(1, degree_cap + 1):
-        rows = [[Fraction(terms[j - l]) for l in range(1, d + 1)]
-                for j in range(d, fit_len)]
-        rhs = [Fraction(terms[j]) for j in range(d, fit_len)]
-        sol = _solve_consistent(rows, rhs, d)
-        if sol is None:
-            continue
-        if all(sum(c * terms[j - l - 1] for l, c in enumerate(sol)) == terms[j]
-               for j in range(d, len(terms))):
-            return Recurrence(d, tuple(sol), base, tuple(terms[:d]))
-    raise NoRecurrenceError(
-        f"no recurrence of order <= {degree_cap} fits {len(terms)} terms")
+    order, coeffs = _berlekamp_massey(terms[:len(terms) - guard])
+    if order == 0:
+        order, coeffs = 1, [Fraction(0)]
+    # a fit of the first N - guard terms that misses a later term leaves no
+    # recurrence of order <= degree_cap for the whole sequence (Massey's
+    # length bound), so both failures are the same refusal
+    if order > degree_cap or not all(
+            sum(c * terms[j - l] for l, c in enumerate(coeffs, 1)) == terms[j]
+            for j in range(order, len(terms))):
+        raise NoRecurrenceError(
+            f"no recurrence of order <= {degree_cap} fits {len(terms)} terms")
+    return Recurrence(order, tuple(coeffs), base, tuple(terms[:order]))
 
 
 def eval_recurrence(rec: Recurrence, n: int):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import InconsistencyError
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -20,7 +22,7 @@ class Budget:
     def with_bits(self, bits: int) -> "Budget":
         """Resize the exponential-work caps to `bits` bits of work."""
         if bits < 1:
-            raise ValueError("budget bits must be positive")
+            raise InconsistencyError(f"budget bits must be positive, got {bits}")
         return replace(self, ryser_max_dim=bits, enum_max_size=bits,
                        pairing_state_cap=1 << min(bits, 24))
 
@@ -29,5 +31,10 @@ def default_budget() -> Budget:
     b = Budget()
     env = os.environ.get("CIRCPERM_BUDGET")
     if env:
-        b = b.with_bits(int(env))
+        try:
+            bits = int(env)
+        except ValueError:
+            raise InconsistencyError(
+                f"CIRCPERM_BUDGET must be an integer, got {env!r}") from None
+        b = b.with_bits(bits)
     return b

@@ -180,15 +180,15 @@ def normalize(spec: CirculantSpec) -> CirculantSpec:
                          NormalizationTrace(offset_shift=shift, index_shift=alpha))
 
 
-def adjacency_matrix(spec: CirculantSpec, n: int) -> list[list[Fraction | int]]:
-    """Adjacency matrix of C at index n: entry (i,j) is the weight of the jump
-    congruent to j-i mod (pn+s), 0 otherwise.
+def jump_residues(spec: CirculantSpec, n: int) -> dict[int, Fraction | int]:
+    """Each jump's residue mod the size pn+s at index n, mapped to its weight.
+
+    Raises InconsistencyError when the size is not positive and
+    CollisionError when two jumps are congruent: no matrix is defined there.
     """
     size = spec.size(n)
-    if size < 0:
-        raise InconsistencyError(f"size {size} < 0 at n={n}")
-    if size == 0:
-        return []
+    if size <= 0:
+        raise InconsistencyError(f"no matrix at n={n}: size {size} is not positive")
     residues: dict[int, Fraction | int] = {}
     for idx, v in enumerate(spec.jump_values(n)):
         r = v % size
@@ -196,5 +196,16 @@ def adjacency_matrix(spec: CirculantSpec, n: int) -> list[list[Fraction | int]]:
             raise CollisionError(
                 f"jumps collide mod {size} at n={n}: residue {r} duplicated")
         residues[r] = spec.weight(idx) if spec.weights is not None else 1
+    return residues
+
+
+def adjacency_matrix(spec: CirculantSpec, n: int) -> list[list[Fraction | int]]:
+    """Adjacency matrix of C at index n: entry (i,j) is the weight of the jump
+    congruent to j-i mod (pn+s), 0 otherwise.  Size 0 gives the empty matrix.
+    """
+    size = spec.size(n)
+    if size == 0:
+        return []
+    residues = jump_residues(spec, n)
     return [[residues.get((j - i) % size, 0) for j in range(size)]
             for i in range(size)]

@@ -8,15 +8,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from .budget import Budget, default_budget
-from .circulant import parse_spec
+from .circulant import adjacency_matrix, jump_residues, parse_spec
 from .corpus import run_corpus
 from .errors import (AnnihilationError, BlockStructureError, CollisionError,
                      InconsistencyError, NoRecurrenceError, SizeCapError,
                      SpecSyntaxError, StateBudgetError)
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
+from .oracle import ryser_permanent
 from .pipeline import derive, verify
 from .report import (SCHEMA, derive_report, num_str, recurrence_dict,
                      render_json, render_table, spec_dict)
@@ -32,7 +34,6 @@ def _add_spec_args(p: argparse.ArgumentParser, n_max: bool = False):
     p.add_argument("--size", help="size law for linear jumps, e.g. '3n' or '3n+1'")
     p.add_argument("--weights", help="comma-separated rational weights, e.g. '2,1,1'")
     p.add_argument("--out", choices=["json", "table"], default="table")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget-bits", type=int,
                    help="override the exponential-work caps (bits)")
     if n_max:
@@ -41,7 +42,7 @@ def _add_spec_args(p: argparse.ArgumentParser, n_max: bool = False):
 
 def _budget(args) -> Budget:
     b = default_budget()
-    if getattr(args, "budget_bits", None):
+    if getattr(args, "budget_bits", None) is not None:
         b = b.with_bits(args.budget_bits)
     return b
 
@@ -51,7 +52,7 @@ def _parse(args):
 
 
 def cmd_derive(args) -> int:
-    result = derive(_parse(args), threads=args.threads)
+    result = derive(_parse(args))
     if args.out == "json":
         print(render_json(derive_report(result)))
     else:
@@ -61,7 +62,7 @@ def cmd_derive(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _parse(args)
-    result = derive(spec, threads=args.threads)
+    result = derive(spec)
     entries = verify(spec, args.n_max, _budget(args), result)
     if args.out == "json":
         print(render_json(derive_report(result, entries)))
@@ -72,8 +73,14 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _parse(args)
-    result = derive(spec, threads=args.threads)
-    value = result.raw_term(args.n)
+    jump_residues(spec, args.n)     # refuses sizes <= 0 and colliding jumps
+    result = derive(spec)
+    if args.n + result.normalized.trace.index_shift < result.n0:
+        # below the transfer base the recurrence is not known to hold
+        value = ryser_permanent(adjacency_matrix(spec, args.n),
+                                max_dim=_budget(args).ryser_max_dim)
+    else:
+        value = result.raw_term(args.n)
     if args.out == "json":
         print(render_json({"schema": SCHEMA, "spec": spec_dict(spec),
                            "n": args.n, "value": num_str(value)}))
@@ -83,7 +90,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    result = derive(_parse(args), threads=args.threads)
+    result = derive(_parse(args))
     g = result.growth
     if args.out == "json":
         print(render_json({"schema": SCHEMA, "spec": spec_dict(result.spec),
@@ -213,26 +220,43 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return out
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Exact values run far past the 4300 digits CPython (3.10.7+) allows
+    by default when turning an int into a string; lift that for one call."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_value_flags(
         list(sys.argv[1:] if argv is None else argv)))
-    try:
-        if args.corpus:
-            return cmd_corpus(args)
-        if not getattr(args, "command", None):
-            parser.print_help()
-            return 0
-        return args.fn(args)
-    except PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BUDGET_ERRORS as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 2
-    except INTERNAL_ERRORS as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 1
+    with _unlimited_int_digits():
+        try:
+            if args.corpus:
+                return cmd_corpus(args)
+            if not getattr(args, "command", None):
+                parser.print_help()
+                return 0
+            return args.fn(args)
+        except PARSE_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except BUDGET_ERRORS as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return 2
+        except INTERNAL_ERRORS as exc:
+            print(f"internal inconsistency: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ class SpecSyntaxError(CircPermError):
 
 
 class InconsistencyError(CircPermError):
-    """Structurally invalid specification (e.g. linear jump without a size law)."""
+    """Structurally invalid specification or parameter (e.g. linear jump
+    without a size law, a size <= 0, a negative moment order)."""
 
 
 class CollisionError(CircPermError):

@@ -21,9 +21,10 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
 
-from .algebra import Recurrence, eval_recurrence, min_recurrence
+from .algebra import (Recurrence, eval_recurrence, fit_term_count,
+                      min_recurrence)
 from .budget import Budget, default_budget
-from .circulant import CirculantSpec
+from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
 from .lattice import decompose
 from .oracle import enumerate_legal_covers
@@ -315,10 +316,11 @@ def _reachable_states(model: SignedModel, seeds: Iterable[PairingState]) -> list
 
 
 def moments_derive(spec: CirculantSpec, i_max: int,
-                   budget: Optional[Budget] = None,
-                   guard: int = 4) -> MomentsResult:
+                   budget: Optional[Budget] = None) -> MomentsResult:
     """Recurrences for the cycle-count moments TC_0..TC_i of a raw
     constant-jump spec, via the pairing-augmented transfer."""
+    if i_max < 0:
+        raise InconsistencyError(f"moment order must be >= 0, got {i_max}")
     budget = budget or default_budget()
     model = SignedModel(spec)
     values: dict[PairingState, tuple] = {}
@@ -334,9 +336,8 @@ def moments_derive(spec: CirculantSpec, i_max: int,
             f"augmented dimension {dim} exceeds cap {budget.pairing_state_cap}")
 
     cap = dim
-    need = 2 * cap + guard + 2
     terms: dict[int, list[int]] = {i: [] for i in range(i_max + 1)}
-    for step in range(need):
+    for step in range(fit_term_count(cap)):
         if step:
             new_vals: dict[PairingState, tuple] = {}
             for st, m in values.items():
@@ -353,7 +354,7 @@ def moments_derive(spec: CirculantSpec, i_max: int,
                                  for j in range(i + 1))
             terms[i].append(total)
 
-    recs = {i: min_recurrence(terms[i], model.n0, cap, guard)
+    recs = {i: min_recurrence(terms[i], model.n0, cap)
             for i in range(i_max + 1)}
     return MomentsResult(spec, i_max, model.n0, len(states), terms, recs)
 
@@ -363,9 +364,12 @@ def moments_ratio(spec: CirculantSpec, n: int,
                   result: Optional[MomentsResult] = None) -> Fraction:
     """Exact expected cycle count TC_1(n)/TC_0(n) of a uniformly random
     restricted permutation."""
+    jump_residues(spec, n)     # refuses sizes <= 0 and colliding jumps
     result = result or moments_derive(spec, 1, budget)
     tc1 = eval_recurrence(result.recurrences[1], n)
     tc0 = eval_recurrence(result.recurrences[0], n)
+    if tc0 == 0:
+        raise InconsistencyError(f"no cycle covers at n={n}: E[#cycles] undefined")
     return Fraction(tc1, tc0)
 
 
@@ -381,8 +385,7 @@ class HamiltonianResult:
 
 
 def hamiltonian_derive(spec: CirculantSpec,
-                       budget: Optional[Budget] = None,
-                       guard: int = 4) -> HamiltonianResult:
+                       budget: Optional[Budget] = None) -> HamiltonianResult:
     """Recurrence for the number of Hamiltonian cycles, via the cycle-free
     (legal tour) pairing transfer; acceptance requires the hook gluing to
     form a single orbit covering every path."""
@@ -405,10 +408,9 @@ def hamiltonian_derive(spec: CirculantSpec,
             f"tour state count {dim} exceeds cap {budget.pairing_state_cap}")
 
     cap = dim
-    need = 2 * cap + guard + 2
     terms: list[int] = []
     n = model.n0
-    for step in range(need):
+    for step in range(fit_term_count(cap)):
         if step:
             new_vals: dict[PairingState, int] = {}
             new_ham_l = 0
@@ -428,5 +430,5 @@ def hamiltonian_derive(spec: CirculantSpec,
             events.append((n, ham_l_n))
         terms.append(total)
 
-    rec = min_recurrence(terms, model.n0, cap, guard)
+    rec = min_recurrence(terms, model.n0, cap)
     return HamiltonianResult(spec, model.n0, len(states), terms, rec, events)

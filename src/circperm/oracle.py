@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import Hashable, Iterator, Optional, Sequence
 
 from .budget import Budget, default_budget
-from .circulant import CirculantSpec
-from .errors import CollisionError, SizeCapError
+from .circulant import CirculantSpec, jump_residues
+from .errors import SizeCapError
 
 
 def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
@@ -89,12 +89,7 @@ def enumerate_stats(spec: CirculantSpec, n: int, i_max: int = 0,
         return CoverStats(1, tuple(1 if t == 0 else 0 for t in range(i_max + 1)),
                           0)
 
-    residues = []
-    for v in spec.jump_values(n):
-        r = v % size
-        if r in residues:
-            raise CollisionError(f"jumps collide mod {size} at n={n}")
-        residues.append(r)
+    residues = list(jump_residues(spec, n))
     targets = [[(i + r) % size for r in residues] for i in range(size)]
 
     perm = [0] * size

@@ -8,16 +8,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (GrowthEstimate, Polynomial, Recurrence,
-                      annihilator_from_blocks, eval_recurrence, growth,
-                      min_recurrence)
+                      annihilator_from_blocks, eval_recurrence, fit_term_count,
+                      growth, min_recurrence)
 from .budget import Budget, default_budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize
 from .errors import CollisionError, SizeCapError
 from .lattice import decompose
 from .oracle import enumerate_stats, ryser_permanent
 from .transfer import TransferSystem, build_transfer_system, sequence
-
-GUARD = 4
 
 
 @dataclass
@@ -47,8 +45,7 @@ class DeriveResult:
         return self.term(n_raw + self.normalized.trace.index_shift)
 
 
-def derive(spec: CirculantSpec, threads: int = 1,
-           extra_terms: int = 2) -> DeriveResult:
+def derive(spec: CirculantSpec) -> DeriveResult:
     """Run the full pipeline on a (possibly raw) spec.
 
     Works for constant and linear jumps, weighted or not.  Raw-jump analyses
@@ -70,13 +67,12 @@ def derive(spec: CirculantSpec, threads: int = 1,
     timings["annihilator"] = time.perf_counter() - t
 
     cap = max(ann.degree, 1)
-    n_terms = 2 * cap + GUARD + extra_terms
     t = time.perf_counter()
-    terms = sequence(system, system.n0 + n_terms - 1, threads=threads)
+    terms = sequence(system, system.n0 + fit_term_count(cap) - 1)
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    rec = min_recurrence(terms, system.n0, cap, GUARD)
+    rec = min_recurrence(terms, system.n0, cap)
     timings["recurrence"] = time.perf_counter() - t
 
     t = time.perf_counter()

@@ -9,7 +9,6 @@ own slice independently.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -120,10 +119,13 @@ def verify_block_structure(entries: dict, ordering: ClassOrdering,
     """Assert A = diag(A-bar, ..., A-bar) and that A-bar respects the
     zero-count groups; raises BlockStructureError otherwise.  When only a
     stripe of left tuples was materialized, `blocks_checked` names the
-    diagonal blocks that must equal A-bar."""
+    diagonal blocks that must equal A-bar.  Zero-valued entries (a zero
+    weight, or weights that cancel) are absent entries."""
     nr = ordering.num_rights
     seen_per_block: dict[int, dict] = {}
     for (r, c), v in entries.items():
+        if v == 0:
+            continue
         if r // nr != c // nr:
             raise BlockStructureError(
                 f"nonzero entry off the diagonal blocks at ({r},{c})")
@@ -249,7 +251,7 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
                           weighted=dec.spec.weights is not None)
 
 
-def sequence(system: TransferSystem, n_max: int, threads: int = 1) -> list:
+def sequence(system: TransferSystem, n_max: int) -> list:
     """Exact T(n) for n = n0..n_max by per-block application of A-bar.
 
     Each left tuple's slice of T0 is supported on the zero-count group
@@ -284,16 +286,8 @@ def sequence(system: TransferSystem, n_max: int, threads: int = 1) -> list:
         return (pc, bslice, [sum(val * vec[j] for j, val in row) for row in rows])
 
     terms = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for n in range(system.n0, n_max + 1):
-            if n > system.n0:
-                if pool is not None:
-                    segments = list(pool.map(step, segments))
-                else:
-                    segments = [step(s) for s in segments]
-            terms.append(sum(dot(b, v) for _, b, v in segments))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n in range(system.n0, n_max + 1):
+        if n > system.n0:
+            segments = [step(s) for s in segments]
+        terms.append(sum(dot(b, v) for _, b, v in segments))
     return terms

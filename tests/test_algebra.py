@@ -86,6 +86,17 @@ def test_min_recurrence_guard_rejects_short_fits():
     assert list(rec.coeffs) == [3, -3, 1]
 
 
+def test_min_recurrence_all_zero_and_zero_tail():
+    rec = min_recurrence([0] * 14, 2, 5)
+    assert (rec.order, rec.coeffs, rec.initials) == (1, (F(0),), (0,))
+    rec = min_recurrence([5] + [0] * 13, 2, 5)
+    assert (rec.order, rec.coeffs, rec.initials) == (1, (F(0),), (5,))
+    # all-int terms make int/int discrepancy ratios, which must stay exact
+    rec = min_recurrence([2, 0, 1, 1] + [0] * 8, 0, 4)
+    assert (rec.order, rec.coeffs, rec.initials) == (4, (F(0),) * 4, (2, 0, 1, 1))
+    assert all(isinstance(c, F) for c in rec.coeffs)
+
+
 def test_min_recurrence_failure_signals():
     random_seq = [1, 4, 9, 2, 8, 5, 7, 1, 3, 9, 2, 6, 4, 8, 5, 7, 1, 2]
     with pytest.raises(NoRecurrenceError):

@@ -1,5 +1,8 @@
 """CLI surface: flags, output formats, exit codes, JSON round-trip."""
 import json
+import sys
+
+import pytest
 
 from circperm import cli
 from circperm.pipeline import VerificationEntry
@@ -107,3 +110,56 @@ def test_negative_jumps_survive_argument_parsing(capsys):
     code, out = run(capsys, "derive", "--jumps", "-1,0,1")
     assert code == 0
     assert "normalized" in out and "9, 13, 20" in out
+
+
+def test_eval_refuses_undefined_sizes(capsys):
+    # {0,1,2} collides mod 2 at n=2; sizes 0 and -3 have no matrix at all
+    for n in ("2", "0", "-3"):
+        assert cli.main(["eval", "--jumps", "0,1,2", "--n", n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_eval_below_the_base_is_the_ryser_permanent(capsys):
+    # the transfer base of {0,1,2} is n0 = 4; size 3 is the all-ones 3x3
+    assert run(capsys, "eval", "--jumps", "0,1,2", "--n", "3") == (0, "T(3) = 6\n")
+    # all-zero weights fit T(n) = 0*T(n-1), which cannot run backward
+    assert run(capsys, "eval", "--jumps", "0,1,2", "--weights", "0,0,0",
+               "--n", "3") == (0, "T(3) = 0\n")
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["moments", "--jumps", "-1,0,1", "--order", "-1"], None),
+    (["moments", "--jumps", "-1,0,1", "--ratio-at", "0"], None),
+    (["verify", "--jumps", "0,1,2", "--n-max", "8"], "abc"),
+    (["verify", "--jumps", "0,1,2", "--n-max", "8", "--budget-bits", "0"], None),
+], ids=["moment-order-negative", "ratio-at-zero", "budget-env-not-int",
+        "budget-bits-zero"])
+def test_bad_argument_exits_3_with_one_line(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CIRCPERM_BUDGET", env)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_values_past_the_int_digit_limit_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "eval", "--jumps", "0,1,2", "--n", "25000",
+                    "--out", "json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert len(value) > 4300
+    code, out = run(capsys, "eval", "--jumps", "0,1,2", "--n", "25000")
+    assert code == 0 and out == f"T(25000) = {value}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("weights", ["0,1,1", "1,0,-1"])
+def test_zero_weights_verify_against_ryser(capsys, weights):
+    code, out = run(capsys, "verify", "--jumps", "0,1,2", "--weights", weights,
+                    "--n-max", "12", "--out", "json")
+    assert code == 0
+    checked = [e for e in json.loads(out)["verification"] if "note" not in e]
+    assert [e["n"] for e in checked] == list(range(4, 13))
+    assert all(e["ok"] and e["recurrence"] == e["ryser"] for e in checked)

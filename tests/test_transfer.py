@@ -130,10 +130,6 @@ def test_sequence_equals_ryser(jumps, size, n_max):
             assert terms[n - sys_.n0] == ryser_permanent(adjacency_matrix(spec, n))
 
 
-def test_sequence_threads_deterministic(sys012):
-    assert sequence(sys012, 20, threads=3) == sequence(sys012, 20)
-
-
 def test_weighted_alpha_is_rational():
     sys_ = build_transfer_system(_dec("0,1,2"))
     wsys = build_transfer_system(decompose(normalize(
