@@ -16,8 +16,7 @@ from .errors import (AnnihilationError, BlockStructureError, CircPermError,
                      CollisionError, InconsistencyError, NoRecurrenceError,
                      SizeCapError, SpecSyntaxError, StateBudgetError)
 from .extensions import (HamiltonianResult, MomentsResult, PairingState,
-                         hamiltonian_derive, moments_derive, moments_ratio,
-                         weighted_derive)
+                         hamiltonian_derive, moments_derive, moments_ratio)
 from .lattice import BoundarySets, Decomposition, SymEdge, SymVertex, decompose
 from .oracle import (CoverStats, brute_hamiltonian, enumerate_stats,
                      ryser_permanent)

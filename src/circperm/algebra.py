@@ -224,16 +224,55 @@ def min_recurrence(terms: Sequence, base: int, degree_cap: int,
     return Recurrence(order, tuple(coeffs), base, tuple(terms[:order]))
 
 
+def _mulmod(a: list[int], b: list[int], chi: list[int]) -> list[int]:
+    """a * b mod chi(x) = x^d - sum_j chi[j-1] x^(d-j), for a, b of degree < d."""
+    d = len(chi)
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * d - 2, d - 1, -1):
+        top = prod[i]
+        if top:
+            for j, c in enumerate(chi, 1):
+                prod[i - j] += top * c
+    return prod[:d]
+
+
+def _mulx(a: list[int], chi: list[int]) -> list[int]:
+    """x * a mod chi(x), for a of degree < d."""
+    top, out = a[-1], [0] + a[:-1]
+    if top:
+        for j, c in enumerate(chi, 1):
+            out[-j] += top * c
+    return out
+
+
 def eval_recurrence(rec: Recurrence, n: int):
-    """Exact T(n) by linear iteration; extends backward below the base when
-    the trailing coefficient is invertible."""
-    vals = list(rec.initials)
+    """Exact T(n).  Forward it is sum_i r_i * initials_i with
+    r(x) = x^(n-base) mod chi(x) by square-and-multiply (Fiduccia 1985):
+    O(d^2 log n) multiplications, all on ints.  Backward it steps one term
+    at a time below the base, which needs an invertible trailing
+    coefficient."""
     if n >= rec.base:
-        idx = n - rec.base
-        while len(vals) <= idx:
-            nxt = sum(c * vals[len(vals) - j] for j, c in enumerate(rec.coeffs, 1))
-            vals.append(nxt)
-        v = vals[idx]
+        # with D the lcm of the coefficient denominators, U(m) =
+        # D^m * T(base+m) obeys the integer recurrence c'_j = c_j * D^j
+        coeffs = [Fraction(c) for c in rec.coeffs]
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        chi = [int(c * scale ** j) for j, c in enumerate(coeffs, 1)]
+        inits = [Fraction(v) * scale ** i for i, v in enumerate(rec.initials)]
+        common = math.lcm(*(v.denominator for v in inits))
+        k = n - rec.base
+        r = [1] + [0] * (rec.order - 1)
+        for bit in bin(k)[2:]:
+            r = _mulmod(r, r, chi)
+            if bit == "1":
+                r = _mulx(r, chi)
+        num = sum(ri * v.numerator * (common // v.denominator)
+                  for ri, v in zip(r, inits))
+        den = common * scale ** k
+        v = num if den == 1 else Fraction(num, den)
     else:
         cd = rec.coeffs[-1]
         if cd == 0:
@@ -326,10 +365,8 @@ def growth(rec: Recurrence, tol: float = 1e-9) -> GrowthEstimate:
 
     # empirical modulus from far-out term ratios (even window: sign-safe)
     window, far = 24, 240
-    vals = list(rec.initials)
-    while len(vals) < far + 1:
-        vals.append(sum(c * vals[len(vals) - j] for j, c in enumerate(rec.coeffs, 1)))
-    num, den = vals[far], vals[far - window]
+    num = eval_recurrence(rec, rec.base + far)
+    den = eval_recurrence(rec, rec.base + far - window)
     emp: Optional[float] = None
     if den != 0 and num != 0:
         emp = 2.0 ** (_log2_fraction(abs(Fraction(num) / Fraction(den))) / window)

@@ -34,7 +34,8 @@ def _add_spec_args(p: argparse.ArgumentParser, n_max: bool = False):
     p.add_argument("--size", help="size law for linear jumps, e.g. '3n' or '3n+1'")
     p.add_argument("--weights", help="comma-separated rational weights, e.g. '2,1,1'")
     p.add_argument("--out", choices=["json", "table"], default="table")
-    p.add_argument("--budget-bits", type=int,
+    # SUPPRESS: an absent flag must not overwrite a top-level --budget-bits
+    p.add_argument("--budget-bits", type=int, default=argparse.SUPPRESS,
                    help="override the exponential-work caps (bits)")
     if n_max:
         p.add_argument("--n-max", type=int, required=True)

@@ -277,17 +277,6 @@ def _binomial_shift(m: tuple, c: int) -> tuple:
                  for t in range(len(m)))
 
 
-def weighted_derive(spec: CirculantSpec):
-    """Full pipeline over rational weights; order bounds unchanged.
-
-    Thin front for the main pipeline, which already carries weights through
-    alpha, beta and the initial vector; lives here because weighted
-    permanents are an extension of the plain counting problem.
-    """
-    from .pipeline import derive
-    return derive(spec)
-
-
 @dataclass
 class MomentsResult:
     spec: CirculantSpec

@@ -1,18 +1,9 @@
 import pytest
 
-from circperm.circulant import parse_spec
-from circperm.pipeline import derive
+from circperm.corpus import _derive_cached
 
 
 @pytest.fixture(scope="session")
 def derived():
     """Session-wide cache of full derivations, keyed by (jumps, size, weights)."""
-    cache = {}
-
-    def get(jumps, size=None, weights=None):
-        key = (jumps, size, weights)
-        if key not in cache:
-            cache[key] = derive(parse_spec(jumps, size, weights))
-        return cache[key]
-
-    return get
+    return _derive_cached()

@@ -163,3 +163,14 @@ def test_zero_weights_verify_against_ryser(capsys, weights):
     checked = [e for e in json.loads(out)["verification"] if "note" not in e]
     assert [e["n"] for e in checked] == list(range(4, 13))
     assert all(e["ok"] and e["recurrence"] == e["ryser"] for e in checked)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget-bits", "3", "verify", "--jumps", "0,1,2", "--n-max", "10"],
+    ["verify", "--jumps", "0,1,2", "--n-max", "10", "--budget-bits", "3"],
+], ids=["before-subcommand", "after-subcommand"])
+def test_budget_bits_reach_the_budget_from_either_place(capsys, argv):
+    args = cli.build_parser().parse_args(argv)
+    assert cli._budget(args) == cli.default_budget().with_bits(3)
+    # 3-bit oracle caps leave verify nothing to check
+    assert cli.main(argv) == 2

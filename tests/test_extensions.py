@@ -12,6 +12,7 @@ from circperm.extensions import (PairingState, _binomial_shift,
                                  hamiltonian_derive, moments_derive,
                                  moments_ratio)
 from circperm.oracle import brute_hamiltonian, enumerate_stats
+from circperm.pipeline import derive
 
 
 @pytest.mark.parametrize("jumps", ["0,1,2", "-1,0,1", "1,2", "-1,2", "-2,1", "0"])
@@ -118,16 +119,14 @@ def test_lattice_hamiltonian_event_channel():
 
 
 def test_weighted_derive_single_loop_powers():
-    from circperm.extensions import weighted_derive
-    res = weighted_derive(parse_spec("0", weights="5/2"))
+    res = derive(parse_spec("0", weights="5/2"))
     rec = res.recurrence
     assert rec.order == 1 and rec.coeffs == (Fraction(5, 2),)
     assert res.term(4) == Fraction(5, 2) ** 4
 
 
 def test_weighted_derive_unit_weights_identical(derived):
-    from circperm.extensions import weighted_derive
     plain = derived("0,1,2")
-    unit = weighted_derive(parse_spec("0,1,2", weights="1,1,1"))
+    unit = derive(parse_spec("0,1,2", weights="1,1,1"))
     assert list(map(Fraction, plain.recurrence.coeffs)) == list(unit.recurrence.coeffs)
     assert [int(t) for t in unit.terms] == list(plain.terms)
