@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from circperm.algebra import (Polynomial, Recurrence, annihilator_from_blocks,
-                              char_poly, eval_recurrence, growth,
-                              min_recurrence, recurrence_char_poly,
-                              verify_annihilates)
+from circperm.algebra import (Polynomial, Recurrence, _real_roots,
+                              annihilator_from_blocks, char_poly,
+                              eval_recurrence, growth, min_recurrence,
+                              recurrence_char_poly, verify_annihilates)
 from circperm.errors import (AnnihilationError, InconsistencyError,
                              NoRecurrenceError)
 
@@ -138,6 +138,29 @@ def test_growth_non_real_dominant_pair():
     assert g.dominant_root is None
     assert "non-real" in g.note
     assert abs(g.modulus - 1.0) < 1e-6
+
+
+def test_real_roots_finds_all_eight_of_a_weighted_chi(derived):
+    # chi of {0,1,4} with weights 2,0,1 factors (per sympy) as
+    # (x-2)(x-1)(x^2-2)(x^2+2)(x^4-8)(x^4-2): eight distinct real roots, some
+    # closer together than the cells of a 1024-point grid on [-B, B]
+    poly = recurrence_char_poly(derived("0,1,4", None, "2,0,1").recurrence)
+    assert poly.degree == 14
+    tol = F(1, 10 ** 9) / 4
+    want = [-2 ** 0.75, -2 ** 0.5, -2 ** 0.25, 1, 2 ** 0.25, 2 ** 0.5, 2 ** 0.75, 2]
+    got = _real_roots(poly, tol)
+    assert got == sorted(got) and len(got) == len(want)
+    assert all(abs(float(r) - w) <= tol for r, w in zip(got, want))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="a repeated real dominant root: the n^(m-1) factor "
+                          "keeps the 24-term ratio of T(n) = n*2^n more than "
+                          "1e-3 from 2, so growth() reports a non-real pair")
+def test_growth_repeated_dominant_root():
+    g = growth(Recurrence(2, (F(4), F(-4)), 0, (0, 2)))
+    assert g.note == "largest-modulus real root"
+    assert abs(g.dominant_root - 2) < 1e-9
 
 
 def test_recurrence_char_poly_shape():

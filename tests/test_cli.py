@@ -174,3 +174,17 @@ def test_budget_bits_reach_the_budget_from_either_place(capsys, argv):
     assert cli._budget(args) == cli.default_budget().with_bits(3)
     # 3-bit oracle caps leave verify nothing to check
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("argv, root", [
+    (["--jumps", "0,1,4", "--weights", "-1,1/2,3"], "3"),
+    (["--jumps", "0,1n+0,2n-1", "--size", "3n", "--weights", "-1,1/2,2"], "8"),
+    (["--jumps", "0,1n+0,2n-1", "--size", "3n", "--weights", "1/2,2,-1"], "8.125"),
+])
+def test_simple_real_dominant_root_is_reported(capsys, argv, root):
+    # sympy: each chi has this root once, and no root of larger modulus
+    code, out = run(capsys, "derive", *argv, "--out", "json")
+    assert code == 0
+    g = json.loads(out)["growth"]
+    assert g["note"] == "largest-modulus real root"
+    assert f"{float(g['dominant_root']):.10g}" == root
