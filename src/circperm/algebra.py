@@ -414,6 +414,19 @@ def _real_roots(poly: Polynomial, tol: Fraction) -> list[Fraction]:
     return sorted(bound * (2 * t - 1) for t in found)
 
 
+def _multiplicity(poly: Polynomial, root: Fraction, tol: Fraction) -> int:
+    """Multiplicity of the real root of `poly` that `root` brackets to tol:
+    how many of g_0 = poly, g_k = gcd(g_(k-1), g_(k-1)') share that root."""
+    scale = math.lcm(*(c.denominator for c in poly.coeffs))
+    g = [int(c * scale) for c in poly.coeffs]
+    m = 0
+    while len(g) > 1 and any(abs(r - root) <= 2 * tol
+                             for r in _real_roots(Polynomial.from_list(g), tol)):
+        m += 1
+        g = _gcd(g, [i * c for i, c in enumerate(g)][1:])
+    return m
+
+
 def _log2_fraction(fr: Fraction) -> float:
     """log2 of a positive rational whose parts may exceed float range."""
     num, den = fr.numerator, fr.denominator
@@ -433,11 +446,14 @@ def growth(rec: Recurrence, tol: float = 1e-9) -> GrowthEstimate:
     largest-modulus real root is reported when the empirical modulus of
     far-out term ratios agrees with it to 1e-3; otherwise the dominant roots
     are taken to be a non-real pair and that empirical modulus is reported.
-    The certificate covers the real roots, not that choice: a repeated real
-    dominant root slows the ratio's convergence and is reported as a pair.
+    A root of multiplicity m puts a factor n^(m-1) into the terms, so when
+    the first comparison fails the modulus is divided by that factor's share
+    of the ratio, (far / (far - window))^((m-1) / window), and compared
+    again.  The certificate covers the real roots, not that choice.
     """
     poly = recurrence_char_poly(rec)
-    roots = _real_roots(poly, Fraction(tol) / 4)
+    rtol = Fraction(tol) / 4
+    roots = _real_roots(poly, rtol)
     best: Optional[Fraction] = None
     for r in roots:
         if best is None or abs(r) > abs(best) or (abs(r) == abs(best) and r > best):
@@ -451,7 +467,14 @@ def growth(rec: Recurrence, tol: float = 1e-9) -> GrowthEstimate:
     if den != 0 and num != 0:
         emp = 2.0 ** (_log2_fraction(abs(Fraction(num) / Fraction(den))) / window)
 
-    if best is not None and (emp is None or abs(abs(float(best)) - emp) <= 1e-3 * max(1.0, emp)):
+    def agrees(modulus: float) -> bool:
+        return abs(abs(float(best)) - modulus) <= 1e-3 * max(1.0, modulus)
+
+    real = best is not None and (emp is None or agrees(emp))
+    if best is not None and not real:
+        m = _multiplicity(poly, best, rtol)
+        real = m > 1 and agrees(emp / (far / (far - window)) ** ((m - 1) / window))
+    if real:
         res = max(abs(poly(best - Fraction(tol))), abs(poly(best + Fraction(tol))))
         return GrowthEstimate(float(best), abs(float(best)), tol,
                               "largest-modulus real root", float(res))

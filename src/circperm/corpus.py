@@ -20,10 +20,11 @@ from typing import Callable, Optional
 from .algebra import eval_recurrence
 from .budget import Budget, default_budget
 from .circulant import adjacency_matrix, parse_spec
-from .errors import CollisionError
+from .errors import BlockStructureError, CollisionError
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
 from .oracle import brute_hamiltonian, enumerate_stats, ryser_permanent
 from .pipeline import DeriveResult, derive
+from .transfer import verify_against_census
 
 Check = tuple[str, bool, str]
 
@@ -139,8 +140,9 @@ def _derive_cached() -> Callable[[str, Optional[str], Optional[str]], DeriveResu
 
 
 def check_golden_transfer(get=None) -> list[Check]:
-    """Worked-example reproduction: beta, T-bar(4), A = diag(A-bar x4),
-    the zero-count blocks, and the annihilator, all bit-exact."""
+    """Worked-example reproduction: beta, T-bar(4), A-bar, the zero-count
+    blocks and the annihilator, all bit-exact, and A = diag(A-bar x4)
+    checked against the cover census of L_5."""
     get = get or _derive_cached()
     res = get("0,1,2")
     sys_ = res.system
@@ -153,13 +155,14 @@ def check_golden_transfer(get=None) -> list[Check]:
          [Fraction(c) for c in GOLDEN_ANNIHILATOR] == list(res.annihilator.coeffs),
          str(res.annihilator)),
     ]
-    full = sys_.full_a()
-    nr = sys_.ordering.num_rights
-    diag_ok = (len(full) == 4 * sum(1 for row in GOLDEN_A_BAR for v in row if v)
-               and all(r // nr == c // nr
-                       and GOLDEN_A_BAR[r % nr][c % nr] == v
-                       for (r, c), v in full.items()))
-    out.append(("full A = diag(A-bar x4)", diag_ok, f"{len(full)} nonzeros"))
+    # A = diag(A-bar x4) carries T-bar(4) to T-bar(5): golden A-bar on each
+    # left tuple's slice of golden T-bar(4) must give the census of L_5
+    try:
+        verify_against_census(sys_.dec, sys_.ordering, GOLDEN_A_BAR, GOLDEN_T4)
+        out.append(("full A = diag(A-bar x4)", True,
+                    "A-bar x T-bar(4) = census of L_5 on all 4 left tuples"))
+    except BlockStructureError as exc:
+        out.append(("full A = diag(A-bar x4)", False, str(exc)))
     return out
 
 

@@ -1,8 +1,10 @@
-"""Assembly and iteration of the transfer system (A, A-bar, B_i, beta, T0).
+"""Assembly and iteration of the transfer system (A-bar, B_i, beta, T0).
 
 The full transfer matrix A is diag(A-bar, ..., A-bar) with one copy per left
-tuple, so only A-bar is stored; a sparse rendition of A is built once to
-verify the block structure (and is what the mutation test scrambles).  A-bar
+tuple, because extension never touches the left window, so only A-bar is
+stored.  T0 is a census of the legal covers of L_{n0}, bucketed by
+classification, and A-bar is checked against a second census at n0+1:
+applied to each left tuple's slice of T0 it must give that census.  A-bar
 itself is block diagonal in the zero-count groups B_i, which is both the
 degree-bound argument and the work-saver: iteration applies each B_i to its
 own slice independently.
@@ -12,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .circulant import CirculantSpec
-from .classify import (Bits, ClassOrdering, extend_right, left_slot,
-                       right_slot)
+from .classify import (ClassOrdering, classify, extend_right, left_slot,
+                       right_slot, window_vertices)
 from .errors import BlockStructureError, InconsistencyError
-from .lattice import Decomposition, lattice_edges, lattice_vertices, row_last
-from .oracle import ryser_permanent
+from .lattice import Decomposition, lattice_edges, lattice_vertices
+from .oracle import enumerate_legal_covers, ryser_permanent
 
 
 def new_edge_choices(dec: Decomposition) -> list[tuple]:
@@ -33,12 +35,12 @@ def new_edge_choices(dec: Decomposition) -> list[tuple]:
     return [tuple(combo) for combo in product(*by_head)]
 
 
-def _subset_weight(spec: CirculantSpec, edges) -> Fraction | int:
+def _subset_weight(spec: CirculantSpec, jump_indices) -> Fraction | int:
     if spec.weights is None:
         return 1
     w = Fraction(1)
-    for e in edges:
-        w *= spec.weight(e.jump_index)
+    for idx in jump_indices:
+        w *= spec.weight(idx)
     return w
 
 
@@ -61,11 +63,6 @@ class TransferSystem:
     def multiplicity(self) -> int:
         """Copies of A-bar on the diagonal of the full A."""
         return 1 << self.w
-
-    def full_a(self) -> dict[tuple[int, int], Fraction | int]:
-        """Sparse full transfer matrix under the canonical ordering
-        (debug dumps and block verification only)."""
-        return build_full_alpha(self.dec, self.ordering)
 
     def debug_dump(self) -> dict:
         """JSON-ready dump: matrices as row-major decimal-string arrays,
@@ -90,90 +87,37 @@ class TransferSystem:
         }
 
 
-def build_full_alpha(dec: Decomposition, ordering: ClassOrdering,
-                     lefts: Optional[Sequence[Bits]] = None
-                     ) -> dict[tuple[int, int], Fraction | int]:
-    """Sparse A over full classifications: entry (x, x') counts (weighted)
-    the New subsets with extend(x', s) = x, positions per `ordering`.
-    `lefts` restricts which left-tuple stripes are materialized."""
-    entries: dict[tuple[int, int], Fraction | int] = {}
-    choices = new_edge_choices(dec)
-    weights = [_subset_weight(dec.spec, c) for c in choices]
-    nr = ordering.num_rights
-    for left in (ordering.lefts if lefts is None else lefts):
-        lbase = ordering.left_pos[left] * nr
-        for right in ordering.rights:
-            cpos = lbase + ordering.right_pos[right]
-            for combo, wgt in zip(choices, weights):
-                new_right = extend_right(dec, right, combo)
-                if new_right is None:
-                    continue
-                rpos = lbase + ordering.right_pos[new_right]
-                entries[(rpos, cpos)] = entries.get((rpos, cpos), 0) + wgt
-    return entries
-
-
-def verify_block_structure(entries: dict, ordering: ClassOrdering,
-                           a_bar: list[list],
-                           blocks_checked: Optional[Sequence[int]] = None) -> None:
-    """Assert A = diag(A-bar, ..., A-bar) and that A-bar respects the
-    zero-count groups; raises BlockStructureError otherwise.  When only a
-    stripe of left tuples was materialized, `blocks_checked` names the
-    diagonal blocks that must equal A-bar.  Zero-valued entries (a zero
-    weight, or weights that cancel) are absent entries."""
-    nr = ordering.num_rights
-    seen_per_block: dict[int, dict] = {}
-    for (r, c), v in entries.items():
-        if v == 0:
-            continue
-        if r // nr != c // nr:
-            raise BlockStructureError(
-                f"nonzero entry off the diagonal blocks at ({r},{c})")
-        seen_per_block.setdefault(r // nr, {})[(r % nr, c % nr)] = v
-    expected = {(i, j): a_bar[i][j]
-                for i in range(nr) for j in range(nr) if a_bar[i][j] != 0}
-    if blocks_checked is None:
-        blocks_checked = range(1 << ordering.w)
-    for b in blocks_checked:
-        if seen_per_block.get(b, {}) != expected:
-            raise BlockStructureError(f"diagonal block {b} differs from A-bar")
-    group_of = [0] * nr
-    for g, (start, size) in enumerate(ordering.group_spans):
-        for i in range(start, start + size):
-            group_of[i] = g
-    for (i, j) in expected:
-        if group_of[i] != group_of[j]:
-            raise BlockStructureError(
-                f"A-bar entry ({i},{j}) crosses zero-count groups")
-
-
-# full-A materialization is O(4^w); past this many left tuples the diagonal
-# structure is verified on a deterministic stripe instead of all of them
-_FULL_CHECK_LEFTS = 256
+def verify_block_structure(ordering: ClassOrdering, a_bar: list[list]) -> None:
+    """Assert that A-bar respects the zero-count groups: every nonzero entry
+    joins two positions of one span of `ordering.group_spans`; raises
+    BlockStructureError otherwise.  Zero-valued entries (a zero weight, or weights that cancel)
+    are absent entries."""
+    group_of = [g for g, (_, size) in enumerate(ordering.group_spans)
+                for _ in range(size)]
+    for i, row in enumerate(a_bar):
+        for j, v in enumerate(row):
+            if v != 0 and group_of[i] != group_of[j]:
+                raise BlockStructureError(
+                    f"A-bar entry ({i},{j}) crosses zero-count groups")
 
 
 def build_alpha(dec: Decomposition,
                 ordering: Optional[ClassOrdering] = None) -> tuple[list[list], list[list[list]]]:
     """A-bar (dense, right-tuple positions) plus its zero-count blocks B_i,
-    with the full-A block structure verified under the canonical ordering."""
+    with the zero-count grouping verified under the canonical ordering."""
     ordering = ordering or ClassOrdering(dec.slot_width)
     nr = ordering.num_rights
     a_bar = [[0] * nr for _ in range(nr)]
     choices = new_edge_choices(dec)
-    weights = [_subset_weight(dec.spec, c) for c in choices]
+    weights = [_subset_weight(dec.spec, (e.jump_index for e in c))
+               for c in choices]
     for right in ordering.rights:
         c = ordering.right_pos[right]
         for combo, wgt in zip(choices, weights):
             new_right = extend_right(dec, right, combo)
             if new_right is not None:
                 a_bar[ordering.right_pos[new_right]][c] += wgt
-    if len(ordering.lefts) <= _FULL_CHECK_LEFTS:
-        lefts = ordering.lefts
-    else:
-        step = len(ordering.lefts) // _FULL_CHECK_LEFTS
-        lefts = ordering.lefts[::step]
-    verify_block_structure(build_full_alpha(dec, ordering, lefts), ordering,
-                           a_bar, [ordering.left_pos[t] for t in lefts])
+    verify_block_structure(ordering, a_bar)
     blocks = [[[a_bar[i][j] for j in range(start, start + size)]
                for i in range(start, start + size)]
               for start, size in ordering.group_spans]
@@ -204,42 +148,43 @@ def build_beta(dec: Decomposition,
     return beta
 
 
+def census(dec: Decomposition, ordering: ClassOrdering, n: int) -> list:
+    """(Weighted) count of legal covers of L_n per classification, in
+    canonical order: one enumeration, each cover weighted by the product of
+    its jump weights and added to the bucket `classify` gives it."""
+    spec = dec.spec
+    left, right = window_vertices(dec, n)
+    counts = [0] * (len(ordering.lefts) * ordering.num_rights)
+    for cover in enumerate_legal_covers(lattice_vertices(spec, n),
+                                        sorted(lattice_edges(spec, n)),
+                                        set(left), set(right)):
+        counts[ordering.position(classify(dec, n, cover))] += _subset_weight(
+            spec, (idx for _, _, idx in cover))
+    return counts
+
+
 def build_initial(dec: Decomposition,
                   ordering: Optional[ClassOrdering] = None) -> list:
     """T0[X] = (weighted) count of legal covers of L_{n0} with classification
-    X, via the permanent of the pairing graph G_X (Ryser)."""
-    ordering = ordering or ClassOrdering(dec.slot_width)
-    spec = dec.spec
-    n0 = dec.n0
-    verts = lattice_vertices(spec, n0)
-    vindex = {v: i for i, v in enumerate(verts)}
-    dim = len(verts)
-    edges = sorted(lattice_edges(spec, n0))
-    left_v = [(s.row, s.offset) for s in dec.boundaries.left]
-    right_v = [(s.row, row_last(spec, n0, s.row) - s.offset)
-               for s in dec.boundaries.right]
-    w = dec.slot_width
+    X, by a census of those covers."""
+    return census(dec, ordering or ClassOrdering(dec.slot_width), dec.n0)
 
-    t0 = []
-    for left in ordering.lefts:
-        lz = [i for i in range(w) if left[i] == 0]
-        for right in ordering.rights:
-            rz = [i for i in range(w) if right[i] == 0]
-            if len(lz) != len(rz):
-                t0.append(0)
-                continue
-            forced_in = {left_v[i] for i in lz}
-            forced_out = {right_v[i] for i in rz}
-            m = [[0] * dim for _ in range(dim)]
-            for tail, head, idx in edges:
-                if head in forced_in or tail in forced_out:
-                    continue
-                m[vindex[tail]][vindex[head]] = (
-                    spec.weight(idx) if spec.weights is not None else 1)
-            for b, a in zip(rz, lz):
-                m[vindex[right_v[b]]][vindex[left_v[a]]] = 1
-            t0.append(ryser_permanent(m, max_dim=None))
-    return t0
+
+def verify_against_census(dec: Decomposition, ordering: ClassOrdering,
+                          a_bar: list[list], t0: list) -> None:
+    """A-bar against direct cover counts: A-bar applied to every left
+    tuple's slice of T0 must give the census of L_{n0+1}; raises
+    BlockStructureError otherwise.  Only the columns of A-bar that T0
+    reaches are tested."""
+    n, nr = dec.n0 + 1, ordering.num_rights
+    for pos, want in enumerate(census(dec, ordering, n)):
+        lo, i = pos - pos % nr, pos % nr
+        got = sum(v * x for v, x in zip(a_bar[i], t0[lo:lo + nr]) if v and x)
+        if got != want:
+            raise BlockStructureError(
+                f"A-bar applied to T0 gives {got} covers of class "
+                f"{ordering.at(pos).bit_string()}, but L_{n} of "
+                f"{dec.spec.describe()} has {want}")
 
 
 def build_transfer_system(dec: Decomposition) -> TransferSystem:
@@ -247,6 +192,7 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
     a_bar, blocks = build_alpha(dec, ordering)
     beta = build_beta(dec, ordering)
     t0 = build_initial(dec, ordering)
+    verify_against_census(dec, ordering, a_bar, t0)
     return TransferSystem(dec, ordering, a_bar, blocks, beta, t0, dec.n0,
                           weighted=dec.spec.weights is not None)
 

@@ -153,14 +153,13 @@ def test_real_roots_finds_all_eight_of_a_weighted_chi(derived):
     assert all(abs(float(r) - w) <= tol for r, w in zip(got, want))
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="a repeated real dominant root: the n^(m-1) factor "
-                          "keeps the 24-term ratio of T(n) = n*2^n more than "
-                          "1e-3 from 2, so growth() reports a non-real pair")
 def test_growth_repeated_dominant_root():
-    g = growth(Recurrence(2, (F(4), F(-4)), 0, (0, 2)))
-    assert g.note == "largest-modulus real root"
-    assert abs(g.dominant_root - 2) < 1e-9
+    # T(n) = n*2^n and n^2*2^n: the n^(m-1) factor is taken out of the ratio
+    for rec in (Recurrence(2, (F(4), F(-4)), 0, (0, 2)),
+                Recurrence(3, (F(6), F(-12), F(8)), 0, (0, 2, 16))):
+        g = growth(rec)
+        assert g.note == "largest-modulus real root"
+        assert abs(g.dominant_root - 2) < 1e-9
 
 
 def test_recurrence_char_poly_shape():

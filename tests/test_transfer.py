@@ -1,5 +1,6 @@
 """Transfer system assembly: golden fixtures, oracle cross-checks of every
-component, block-structure verification and its mutation test."""
+component, the zero-count group check, and the census check on A-bar with
+its mutation tests."""
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,50 @@ import pytest
 from circperm.circulant import adjacency_matrix, normalize, parse_spec
 from circperm.classify import ClassOrdering, classify
 from circperm.errors import BlockStructureError
-from circperm.lattice import decompose, lattice_edges, lattice_vertices
+from circperm.lattice import decompose, lattice_edges, lattice_vertices, row_last
 from circperm.oracle import enumerate_legal_covers, enumerate_stats, ryser_permanent
-from circperm.transfer import (build_alpha, build_full_alpha,
-                               build_transfer_system,
-                               verify_block_structure, sequence)
+from circperm.transfer import (build_alpha, build_initial, build_transfer_system,
+                               sequence, verify_against_census,
+                               verify_block_structure)
 
 GOLDEN_A_BAR = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
 
 
-def _dec(jumps, size=None):
-    return decompose(normalize(parse_spec(jumps, size)))
+def _dec(jumps, size=None, weights=None):
+    return decompose(normalize(parse_spec(jumps, size, weights)))
+
+
+def ryser_t0(dec, ordering):
+    """Reference T0, independent of the cover census: per classification X,
+    the permanent of L_{n0}'s pairing graph G_X, in which the zero slots of
+    X's right window are joined back to the zero slots of its left window."""
+    spec, n0, w = dec.spec, dec.n0, dec.slot_width
+    verts = lattice_vertices(spec, n0)
+    vindex = {v: i for i, v in enumerate(verts)}
+    edges = sorted(lattice_edges(spec, n0))
+    left_v = [(s.row, s.offset) for s in dec.boundaries.left]
+    right_v = [(s.row, row_last(spec, n0, s.row) - s.offset)
+               for s in dec.boundaries.right]
+    t0 = []
+    for left in ordering.lefts:
+        lz = [i for i in range(w) if left[i] == 0]
+        for right in ordering.rights:
+            rz = [i for i in range(w) if right[i] == 0]
+            if len(lz) != len(rz):
+                t0.append(0)
+                continue
+            forced_in = {left_v[i] for i in lz}
+            forced_out = {right_v[i] for i in rz}
+            m = [[0] * len(verts) for _ in verts]
+            for tail, head, idx in edges:
+                if head in forced_in or tail in forced_out:
+                    continue
+                m[vindex[tail]][vindex[head]] = (
+                    spec.weight(idx) if spec.weights is not None else 1)
+            for b, a in zip(rz, lz):
+                m[vindex[right_v[b]]][vindex[left_v[a]]] = 1
+            t0.append(ryser_permanent(m, max_dim=None))
+    return t0
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +67,25 @@ def test_golden_transfer_data(sys012):
     assert sys012.multiplicity == 4
 
 
-def test_full_matrix_is_diagonal_of_a_bar(sys012):
-    full = sys012.full_a()
-    nonzero_per_block = sum(1 for row in GOLDEN_A_BAR for v in row if v)
-    assert len(full) == 4 * nonzero_per_block
-    for (r, c), v in full.items():
-        assert r // 4 == c // 4
-        assert GOLDEN_A_BAR[r % 4][c % 4] == v
+@pytest.mark.parametrize("jumps,size,weights", [
+    ("0,1,2", None, None), ("0,2,5", None, None), ("0,1,4", None, "1/2,3,-1"),
+    ("0,1,2", None, "0,1,1"), ("1,1n+1,2n+0", "3n", None),
+    ("0,1n+0,2n-1", "3n", "2,-1,1/2"), ("0,1n+0,1n+2", "2n", None),
+])
+def test_census_t0_matches_the_pairing_graph_permanents(jumps, size, weights):
+    dec = _dec(jumps, size, weights)
+    ordering = ClassOrdering(dec.slot_width)
+    assert build_initial(dec, ordering) == ryser_t0(dec, ordering)
+
+
+@pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (1, 2), (2, 1), (3, 3),
+                                 (0, 3), (2, 2), (3, 0)])
+def test_census_check_catches_a_changed_a_bar_entry(sys012, i, j):
+    verify_against_census(sys012.dec, sys012.ordering, sys012.a_bar, sys012.t0)
+    bad = [list(row) for row in sys012.a_bar]
+    bad[i][j] += 1
+    with pytest.raises(BlockStructureError):
+        verify_against_census(sys012.dec, sys012.ordering, bad, sys012.t0)
 
 
 def test_self_loop_only_spec():
@@ -144,7 +190,7 @@ def test_scrambled_ordering_triggers_block_error():
     dec = _dec("0,1,2")
     ordering = ClassOrdering(2)
     # swap two right tuples across zero-count groups: the canonical order's
-    # grouping is violated and the verifier must notice
+    # grouping is violated and the A-bar group check must notice
     bad = ClassOrdering(2)
     bad.rights = list(bad.rights)
     bad.rights[0], bad.rights[1] = bad.rights[1], bad.rights[0]
@@ -156,14 +202,7 @@ def test_scrambled_ordering_triggers_block_error():
             scrambled_a_bar[bad.right_pos[ordering.rights[i]]][
                 bad.right_pos[ordering.rights[j]]] = a_bar[i][j]
     with pytest.raises(BlockStructureError):
-        verify_block_structure(build_full_alpha(dec, bad), bad, scrambled_a_bar)
-
-
-def test_off_diagonal_entry_triggers_block_error(sys012):
-    entries = dict(sys012.full_a())
-    entries[(0, 5)] = 1      # crosses left-tuple blocks
-    with pytest.raises(BlockStructureError):
-        verify_block_structure(entries, sys012.ordering, sys012.a_bar)
+        verify_block_structure(bad, scrambled_a_bar)
 
 
 def test_debug_dump_serializes_decimal_strings(sys012):
