@@ -1,8 +1,12 @@
 """Exact polynomial/matrix algebra and recurrence machinery.
 
-Everything is arbitrary-precision rational (Fraction); no floating point
-enters any value that is asserted exactly.  Floats appear only in the
-dominant-root estimate, which carries an explicit error bound.
+Every asserted value is exact.  Characteristic polynomials are computed on
+ints: each block is scaled to an integer matrix, its characteristic
+polynomial is found mod 61-bit primes by Hessenberg reduction, and the
+residues are combined by CRT under a Hadamard bound on the coefficients.
+Annihilation is then checked exactly over ints.  Recurrences are fitted and
+evaluated on rationals (Fraction) or scaled ints.  Floats appear only in
+the dominant-root estimate, which carries an explicit error bound.
 """
 from __future__ import annotations
 
@@ -48,25 +52,6 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(tuple(out))
 
-    def eval_matrix(self, m: Matrix) -> list[list[Fraction]]:
-        """Horner evaluation at a square matrix."""
-        dim = len(m)
-        acc = [[Fraction(0)] * dim for _ in range(dim)]
-        for c in reversed(self.coeffs):
-            nxt = [[c if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-            for i in range(dim):
-                row = acc[i]
-                for k in range(dim):
-                    a = row[k]
-                    if a:
-                        mk = m[k]
-                        ni = nxt[i]
-                        for j in range(dim):
-                            if mk[j]:
-                                ni[j] += a * mk[j]
-            acc = nxt
-        return acc
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -87,51 +72,165 @@ class Polynomial:
         return s[1:] if s.startswith("+") else "-" + s[1:]
 
 
-def char_poly(matrix: Matrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact for
+    37 < n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    The per-step division by k is exact (the c_k are the genuine
-    coefficients), so the scheme is deterministic and rational-exact.
+
+# the primes below 2^61 in descending order, searched for on first use
+_PRIMES: list[int] = []
+
+
+def _prime(i: int) -> int:
+    """The i-th prime below 2^61 (0-based, descending)."""
+    while len(_PRIMES) <= i:
+        p = (_PRIMES[-1] if _PRIMES else (1 << 61) + 1) - 2
+        while not _is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[i]
+
+
+def _char_poly_mod(m: list[list[int]], p: int) -> list[int]:
+    """Coefficients of det(xI - m) mod p, ascending: reduction to upper
+    Hessenberg form by similarity, then the Hessenberg recurrence (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    n = len(m)
+    h = [[v % p for v in row] for row in m]
+    for c in range(n - 2):
+        piv = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        r = c + 1
+        if piv != r:
+            h[piv], h[r] = h[r], h[piv]
+            for row in h:
+                row[piv], row[r] = row[r], row[piv]
+        top = h[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, n):
+            u = h[i][c] * inv % p
+            if u:
+                # row_i -= u row_r, then col_r += u col_i: a similarity
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], top)]
+                for row in h:
+                    row[r] = (row[r] + u * row[i]) % p
+    # polys[k] = char poly of the leading k x k block of h
+    polys = [[1]]
+    for k in range(n):
+        nxt = [0] + polys[k]                       # x * polys[k]
+        for j, v in enumerate(polys[k]):
+            nxt[j] -= h[k][k] * v
+        t = 1
+        for i in range(k, 0, -1):
+            # t = h[k][k-1] ... h[i][i-1], the subdiagonal below row i-1
+            t = t * h[i][i - 1] % p
+            f = t * h[i - 1][k] % p
+            if f:
+                for j, v in enumerate(polys[i - 1]):
+                    nxt[j] -= f * v
+        polys.append([v % p for v in nxt])
+    return polys[n]
+
+
+def char_poly(matrix: Matrix) -> Polynomial:
+    """Monic characteristic polynomial det(xI - M), exact.
+
+    With D the lcm of the entries' denominators, DM is an integer matrix
+    and chi_M(x) = D^(-d) chi_DM(Dx).  chi_DM is found mod 61-bit primes
+    (_char_poly_mod) and combined by CRT until the primes' product exceeds
+    2 * bound + 1, where bound = prod_i (1 + ceil(|row_i|_2)) is at least
+    every coefficient's absolute value: c_k is a signed sum of principal
+    minors, each at most the product of its rows' norms (Hadamard).  The
+    result is read in the symmetric range.
     """
     dim = len(matrix)
-    if dim == 0:
-        return Polynomial.from_list([1])
-    m = [[Fraction(v) for v in row] for row in matrix]
-    coeffs = [Fraction(0)] * (dim + 1)
-    coeffs[dim] = Fraction(1)
-    mk = [row[:] for row in m]
-    for k in range(1, dim + 1):
-        ck = -sum(mk[i][i] for i in range(dim)) / k
-        coeffs[dim - k] = ck
-        if k == dim:
-            break
-        for i in range(dim):
-            mk[i][i] += ck
-        mk = [[sum(m[i][t] * mk[t][j] for t in range(dim)) for j in range(dim)]
-              for i in range(dim)]
-    return Polynomial(tuple(coeffs))
+    scale = math.lcm(*(Fraction(v).denominator for row in matrix for v in row))
+    m = [[int(v * scale) for v in row] for row in matrix]
+    bound = 1
+    for row in m:
+        sq = sum(v * v for v in row)
+        norm = math.isqrt(sq)
+        bound *= 1 + norm + (norm * norm < sq)
+    cs, modulus, i = [0] * (dim + 1), 1, 0
+    while modulus <= 2 * bound + 1:
+        p = _prime(i)
+        inv = pow(modulus, -1, p)
+        # Garner: lift cs (mod modulus) to the residues mod p
+        cs = [c + modulus * ((r - c) * inv % p)
+              for c, r in zip(cs, _char_poly_mod(m, p))]
+        modulus, i = modulus * p, i + 1
+    cs = [c - modulus if 2 * c > modulus else c for c in cs]
+    return Polynomial(tuple(Fraction(c, scale ** (dim - k))
+                            for k, c in enumerate(cs)))
+
+
+def _check_kills(poly: Polynomial, block: Matrix, index: int) -> None:
+    """Raise unless poly(block) = 0, checked over ints: with D the lcm of
+    the block's denominators and L that of the coefficients', it is
+    sum_k L c_k D^(deg-k) (D block)^k = 0, evaluated by Horner."""
+    dim = len(block)
+    scale = math.lcm(*(Fraction(v).denominator for row in block for v in row))
+    m = [[(j, int(v * scale)) for j, v in enumerate(row) if v] for row in block]
+    coeffs = [Fraction(c) * scale ** (poly.degree - k)
+              for k, c in enumerate(poly.coeffs)]
+    common = math.lcm(*(c.denominator for c in coeffs))
+    acc = [[0] * dim for _ in range(dim)]
+    for c in reversed(coeffs):
+        c = int(c * common)
+        nxt = []
+        for i, row in enumerate(acc):
+            out = [0] * dim
+            for k, a in enumerate(row):
+                if a:
+                    for j, v in m[k]:
+                        out[j] += a * v
+            out[i] += c
+            nxt.append(out)
+        acc = nxt
+    if any(any(row) for row in acc):
+        raise AnnihilationError(
+            f"annihilation check: the polynomial does not kill block B_{index} "
+            f"(dimension {dim})")
 
 
 def verify_annihilates(poly: Polynomial, blocks: Sequence[Matrix]) -> None:
-    """Raise unless poly(B) = 0 for every block (exact matrix evaluation)."""
-    for b in blocks:
-        val = poly.eval_matrix(b)
-        if any(any(v != 0 for v in row) for row in val):
-            raise AnnihilationError("annihilator does not kill a diagonal block")
+    """Raise AnnihilationError, naming the block, unless poly(B) = 0 for
+    every block; exact, on ints."""
+    for i, b in enumerate(blocks):
+        _check_kills(poly, b, i)
 
 
 def annihilator_from_blocks(blocks: Sequence[Matrix]) -> Polynomial:
     """Product of the blocks' characteristic polynomials, repeated factors
-    included once; verified to annihilate every block."""
+    included once.  Each block is checked against its own factor, which
+    the product is a multiple of, so the product kills every block."""
     factors: list[Polynomial] = []
-    for b in blocks:
+    for i, b in enumerate(blocks):
         cp = char_poly(b)
+        _check_kills(cp, b, i)
         if cp not in factors:
             factors.append(cp)
     out = Polynomial.from_list([1])
     for f in factors:
         out = out * f
-    verify_annihilates(out, blocks)
     return out
 
 
@@ -442,9 +541,10 @@ def growth(rec: Recurrence, tol: float = 1e-9) -> GrowthEstimate:
     """Dominant growth of `rec` from its characteristic polynomial chi.
 
     Every real root of chi comes from _real_roots, certified: Descartes-rule
-    isolation finds each one, and bisection brackets it to tol / 4.  The
-    largest-modulus real root is reported when the empirical modulus of
-    far-out term ratios agrees with it to 1e-3; otherwise the dominant roots
+    isolation finds each one, and bisection brackets it to the smaller of
+    tol / 4 and 1e-11.  The largest-modulus real root is reported when the
+    empirical modulus of far-out term ratios agrees with it to 1e-3;
+    otherwise the dominant roots
     are taken to be a non-real pair and that empirical modulus is reported.
     A root of multiplicity m puts a factor n^(m-1) into the terms, so when
     the first comparison fails the modulus is divided by that factor's share
@@ -452,7 +552,9 @@ def growth(rec: Recurrence, tol: float = 1e-9) -> GrowthEstimate:
     again.  The certificate covers the real roots, not that choice.
     """
     poly = recurrence_char_poly(rec)
-    rtol = Fraction(tol) / 4
+    # reports print the root at 10 decimals: a bracket of 1e-11 makes
+    # every printed digit true (unless the root sits on a rounding edge)
+    rtol = min(Fraction(tol) / 4, Fraction(1, 10 ** 11))
     roots = _real_roots(poly, rtol)
     best: Optional[Fraction] = None
     for r in roots:

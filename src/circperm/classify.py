@@ -176,8 +176,8 @@ def window_vertices(dec: Decomposition, n: int) -> tuple[list[Vertex], list[Vert
 def classify(dec: Decomposition, n: int, edges: Iterable[Edge]) -> Optional[Classification]:
     """Classify a concrete edge subset of L_n, or None when not a legal cover.
 
-    Direct recomputation from the degrees: the transfer pipeline's census
-    buckets covers with it, and tests validate extend()/completes() with it.
+    Direct recomputation from the degrees: tests validate extend(),
+    completes() and the transfer census's bucketing with it.
     """
     if n < dec.n0:
         raise InconsistencyError(f"classify needs n >= n0 = {dec.n0}")

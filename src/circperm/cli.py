@@ -256,7 +256,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return 2
         except INTERNAL_ERRORS as exc:
-            print(f"internal inconsistency: {exc}", file=sys.stderr)
+            print(f"error: internal inconsistency: {exc}", file=sys.stderr)
             return 1
 
 

@@ -12,7 +12,7 @@ from .algebra import (GrowthEstimate, Polynomial, Recurrence,
                       growth, min_recurrence)
 from .budget import Budget, default_budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize
-from .errors import CollisionError, SizeCapError
+from .errors import AnnihilationError, CollisionError, SizeCapError
 from .lattice import decompose
 from .oracle import enumerate_stats, ryser_permanent
 from .transfer import TransferSystem, build_transfer_system, sequence
@@ -63,7 +63,10 @@ def derive(spec: CirculantSpec) -> DeriveResult:
     timings["transfer"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    ann = annihilator_from_blocks(system.blocks)
+    try:
+        ann = annihilator_from_blocks(system.blocks)
+    except AnnihilationError as exc:
+        raise AnnihilationError(f"{exc} of {spec.describe()}") from exc
     timings["annihilator"] = time.perf_counter() - t
 
     cap = max(ann.degree, 1)

@@ -17,8 +17,8 @@ from itertools import product
 from typing import Optional
 
 from .circulant import CirculantSpec
-from .classify import (ClassOrdering, classify, extend_right, left_slot,
-                       right_slot, window_vertices)
+from .classify import (ClassOrdering, extend_right, left_slot, right_slot,
+                       window_vertices)
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import Decomposition, lattice_edges, lattice_vertices
 from .oracle import enumerate_legal_covers, ryser_permanent
@@ -148,18 +148,43 @@ def build_beta(dec: Decomposition,
     return beta
 
 
+def _bucketer(ordering: ClassOrdering, left: list, right: list):
+    """cover -> canonical position of its classification, for legal covers
+    with window vertices `left` and `right` in slot order, read from those
+    vertices' degrees alone: a left bit is set by an edge into that vertex,
+    a right bit by an edge out of it.  Legality is the enumeration's
+    guarantee, so this is what `classify` gives."""
+    lbit = {v: 1 << i for i, v in enumerate(left)}
+    rbit = {v: 1 << i for i, v in enumerate(right)}
+    nr = ordering.num_rights
+
+    def bits(mask: int) -> tuple:
+        return tuple(mask >> i & 1 for i in range(ordering.w))
+
+    left_at = [ordering.left_pos[bits(m)] * nr for m in range(nr)]
+    right_at = [ordering.right_pos[bits(m)] for m in range(nr)]
+
+    def bucket(cover) -> int:
+        lmask = rmask = 0
+        for tail, head, _ in cover:
+            lmask |= lbit.get(head, 0)
+            rmask |= rbit.get(tail, 0)
+        return left_at[lmask] + right_at[rmask]
+    return bucket
+
+
 def census(dec: Decomposition, ordering: ClassOrdering, n: int) -> list:
     """(Weighted) count of legal covers of L_n per classification, in
     canonical order: one enumeration, each cover weighted by the product of
-    its jump weights and added to the bucket `classify` gives it."""
+    its jump weights and added to its classification's bucket."""
     spec = dec.spec
     left, right = window_vertices(dec, n)
+    bucket = _bucketer(ordering, left, right)
     counts = [0] * (len(ordering.lefts) * ordering.num_rights)
     for cover in enumerate_legal_covers(lattice_vertices(spec, n),
                                         sorted(lattice_edges(spec, n)),
                                         set(left), set(right)):
-        counts[ordering.position(classify(dec, n, cover))] += _subset_weight(
-            spec, (idx for _, _, idx in cover))
+        counts[bucket(cover)] += _subset_weight(spec, (idx for _, _, idx in cover))
     return counts
 
 
@@ -220,8 +245,10 @@ def sequence(system: TransferSystem, n_max: int) -> list:
         if any(v != 0 for k, v in enumerate(seg_t0) if not start <= k < start + size):
             raise BlockStructureError(
                 "T0 has support outside its zero-count group")
-        segments.append((pc, seg_beta[start:start + size],
-                         seg_t0[start:start + size]))
+        # a zero slice stays zero under every B_i
+        if any(seg_t0[start:start + size]):
+            segments.append((pc, seg_beta[start:start + size],
+                             seg_t0[start:start + size]))
 
     def dot(beta_slice, vec):
         return sum(b * v for b, v in zip(beta_slice, vec) if b != 0 and v != 0)

@@ -106,6 +106,20 @@ def test_exit_code_internal_error(capsys, monkeypatch):
     assert cli.main(["derive", "--jumps", "0,1,2"]) == 1
 
 
+def test_failed_annihilation_check_names_the_block_and_spec(capsys, monkeypatch):
+    from circperm import algebra
+
+    # x^d + 1 kills none of the 0/1 blocks of {0,1,2}
+    monkeypatch.setattr(algebra, "char_poly", lambda b: algebra.Polynomial.from_list(
+        [1] + [0] * (len(b) - 1) + [1]))
+    assert cli.main(["derive", "--jumps", "0,1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err == ("error: internal inconsistency: annihilation check: "
+                            "the polynomial does not kill block B_0 "
+                            "(dimension 1) of C_n^{0,1,2}\n")
+
+
 def test_negative_jumps_survive_argument_parsing(capsys):
     code, out = run(capsys, "derive", "--jumps", "-1,0,1")
     assert code == 0
@@ -188,3 +202,5 @@ def test_simple_real_dominant_root_is_reported(capsys, argv, root):
     g = json.loads(out)["growth"]
     assert g["note"] == "largest-modulus real root"
     assert f"{float(g['dominant_root']):.10g}" == root
+    # every printed digit is true: 3.0000000000, 8.0000000000, 8.1250000000
+    assert g["dominant_root"] == f"{float(root):.10f}"

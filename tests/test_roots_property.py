@@ -9,7 +9,7 @@ from circperm.algebra import Polynomial, _real_roots
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-TOL = Fraction(1, 10 ** 9) / 4          # what growth() asks for
+TOL = Fraction(1, 10 ** 11)             # what growth() asks for
 
 
 def _times(p: list, q: list) -> list:

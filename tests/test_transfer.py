@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from circperm.circulant import adjacency_matrix, normalize, parse_spec
-from circperm.classify import ClassOrdering, classify
+from circperm.classify import ClassOrdering, classify, window_vertices
 from circperm.errors import BlockStructureError
 from circperm.lattice import decompose, lattice_edges, lattice_vertices, row_last
 from circperm.oracle import enumerate_legal_covers, enumerate_stats, ryser_permanent
-from circperm.transfer import (build_alpha, build_initial, build_transfer_system,
-                               sequence, verify_against_census,
-                               verify_block_structure)
+from circperm.transfer import (_bucketer, build_alpha, build_initial,
+                               build_transfer_system, sequence,
+                               verify_against_census, verify_block_structure)
 
 GOLDEN_A_BAR = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
 
@@ -76,6 +76,23 @@ def test_census_t0_matches_the_pairing_graph_permanents(jumps, size, weights):
     dec = _dec(jumps, size, weights)
     ordering = ClassOrdering(dec.slot_width)
     assert build_initial(dec, ordering) == ryser_t0(dec, ordering)
+
+
+@pytest.mark.parametrize("jumps,size,weights", [
+    ("0,1,2", None, None), ("1,1n+0,2n+1", "3n+1", None),
+    ("0,1,4", None, "1/2,3,-1")])
+def test_census_buckets_every_cover_as_classify_does(jumps, size, weights):
+    dec = _dec(jumps, size, weights)
+    ordering = ClassOrdering(dec.slot_width)
+    for n in (dec.n0, dec.n0 + 1):
+        left, right = window_vertices(dec, n)
+        bucket = _bucketer(ordering, left, right)
+        covers = list(enumerate_legal_covers(
+            lattice_vertices(dec.spec, n), sorted(lattice_edges(dec.spec, n)),
+            set(left), set(right)))
+        assert covers
+        for cover in covers:
+            assert bucket(cover) == ordering.position(classify(dec, n, cover))
 
 
 @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (1, 2), (2, 1), (3, 3),
