@@ -20,8 +20,8 @@ from .errors import (AnnihilationError, BlockStructureError, CollisionError,
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
 from .oracle import ryser_permanent
 from .pipeline import derive, verify
-from .report import (SCHEMA, derive_report, num_str, recurrence_dict,
-                     render_json, render_table, spec_dict)
+from .report import (SCHEMA, derive_report, growth_dict, num_str,
+                     recurrence_dict, render_json, render_table, spec_dict)
 
 PARSE_ERRORS = (SpecSyntaxError, InconsistencyError, CollisionError)
 BUDGET_ERRORS = (SizeCapError, StateBudgetError)
@@ -95,8 +95,7 @@ def cmd_growth(args) -> int:
     g = result.growth
     if args.out == "json":
         print(render_json({"schema": SCHEMA, "spec": spec_dict(result.spec),
-                           "dominant_root": g.dominant_root, "modulus": g.modulus,
-                           "error_bound": g.error_bound, "note": g.note}))
+                           **growth_dict(g)}))
     elif g.dominant_root is not None:
         print(f"{g.dominant_root:.9f}")
     else:

@@ -8,10 +8,13 @@ follow the signed four-tuple form: in-degree bits over L+ and R-, out-degree
 bits over L- and R+.
 
 The classification alone cannot count cycles; each state additionally
-carries the start<->end pairing of its open paths, and the per-state value
-is the vector of moment sums over covers in that state (m_j = sum of
-(#closed cycles)^j), so that closing c new cycles is the linear binomial map
-m'_t = sum_j C(t,j) c^(t-j) m_j.  Correctness rests on oracle equivalence
+carries the start<->end pairing of its open paths.  `SignedModel.walk`
+expands and completes each reachable state once, and each derivation
+compiles the result into one sparse integer transfer for `transfer.iterate`,
+the loop `derive` uses too.  Moments index by (state, j), holding m_j = sum
+over covers of (#closed cycles)^j, so closing c new cycles is the binomial
+map m'_t = sum_j C(t,j) c^(t-j) m_j; tours route each edge that closes the
+last open path to one sink state.  Correctness rests on oracle equivalence
 with exhaustive enumeration, not on any printed formula.
 """
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .algebra import (Recurrence, eval_recurrence, fit_term_count,
                       min_recurrence)
@@ -28,6 +31,7 @@ from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
 from .lattice import decompose
 from .oracle import enumerate_legal_covers
+from .transfer import iterate
 
 Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
 Pairing = frozenset[tuple[Slot, Slot]]
@@ -90,24 +94,46 @@ class SignedModel:
             else:
                 pair = (("Lm", e.tail.offset), ("Rm", e.head.offset))
             self.hook_pairs.add(pair)
-        self._transitions: dict[PairingState, list[tuple[PairingState, int]]] = {}
 
     # -- extension ---------------------------------------------------------
 
-    def transitions(self, state: PairingState) -> list[tuple[PairingState, int]]:
+    def transitions(self, state: PairingState) -> Iterator[tuple[PairingState, int]]:
         """All legal one-column extensions as (new state, cycles closed)."""
-        cached = self._transitions.get(state)
-        if cached is None:
-            cached = []
-            for in_t in [None] + self.in_jumps:
-                for out_t in [None] + self.out_jumps:
-                    if in_t == 0 and out_t is not None:
-                        continue  # the self-loop already spends n's out-degree
-                    res = self._apply(state, in_t, out_t)
-                    if res is not None:
-                        cached.append(res)
-            self._transitions[state] = cached
-        return cached
+        for in_t in [None] + self.in_jumps:
+            for out_t in [None] + self.out_jumps:
+                if in_t == 0 and out_t is not None:
+                    continue  # the self-loop already spends n's out-degree
+                res = self._apply(state, in_t, out_t)
+                if res is not None:
+                    yield res
+
+    def walk(self, seeds: Iterable[PairingState], max_states: int, what: str):
+        """Number the states reachable from `seeds`, seeds first, expanding
+        and completing each once: (state -> number, every extension as
+        (src, dst, cycles closed), each state's `completion_orbit_counts`).
+        Raises StateBudgetError(`what`) on finding state max_states + 1."""
+        index: dict[PairingState, int] = {}
+        states: list[PairingState] = []
+
+        def number(st: PairingState) -> int:
+            i = index.get(st)
+            if i is None:
+                if len(states) >= max_states:
+                    raise StateBudgetError(
+                        f"{what}: more than {max_states} pairing states reachable")
+                i = index[st] = len(states)
+                states.append(st)
+            return i
+
+        for st in seeds:
+            number(st)
+        edges: list[tuple[int, int, int]] = []
+        completions: list[list[int]] = []
+        for src, st in enumerate(states):     # the list grows while it is read
+            completions.append(self.completion_orbit_counts(st))
+            edges += [(src, number(st2), closed)
+                      for st2, closed in self.transitions(st)]
+        return index, edges, completions
 
     def _apply(self, state: PairingState, in_t, out_t):
         sp, sm = self.s_plus, self.s_minus
@@ -269,12 +295,19 @@ class SignedModel:
         raise InconsistencyError(f"out-deficient vertex {v} off the boundary")
 
 
-def _binomial_shift(m: tuple, c: int) -> tuple:
-    """Moment vector after c new closed cycles: m'_t = sum_j C(t,j) c^(t-j) m_j."""
-    if c == 0:
-        return m
-    return tuple(sum(comb(t, j) * (c ** (t - j)) * m[j] for j in range(t + 1))
-                 for t in range(len(m)))
+def _shift_coeff(t: int, j: int, c: int) -> int:
+    """Entry (t, j) of the binomial shift m'_t = sum_j C(t,j) c^(t-j) m_j
+    that closing c new cycles applies to a moment vector."""
+    return comb(t, j) * c ** (t - j)
+
+
+def _pull_rows(entries: Iterable[tuple[int, int, int]], size: int) -> list[list]:
+    """Sparse pull rows from (row, col, value) entries, summing repeats."""
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
+    for i, j, v in entries:
+        if v:
+            rows[i][j] = rows[i].get(j, 0) + v
+    return [list(r.items()) for r in rows]
 
 
 @dataclass
@@ -290,20 +323,6 @@ class MomentsResult:
         return self.recurrences[self.i_max if i is None else i]
 
 
-def _reachable_states(model: SignedModel, seeds: Iterable[PairingState]) -> list[PairingState]:
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for st in frontier:
-            for st2, _ in model.transitions(st):
-                if st2 not in seen:
-                    seen.add(st2)
-                    nxt.append(st2)
-        frontier = nxt
-    return sorted(seen, key=repr)
-
-
 def moments_derive(spec: CirculantSpec, i_max: int,
                    budget: Optional[Budget] = None) -> MomentsResult:
     """Recurrences for the cycle-count moments TC_0..TC_i of a raw
@@ -312,40 +331,27 @@ def moments_derive(spec: CirculantSpec, i_max: int,
         raise InconsistencyError(f"moment order must be >= 0, got {i_max}")
     budget = budget or default_budget()
     model = SignedModel(spec)
-    values: dict[PairingState, tuple] = {}
-    zero = tuple(0 for _ in range(i_max + 1))
-    for state, closed in model.initial_covers():
-        m = tuple(closed ** t for t in range(i_max + 1))
-        values[state] = tuple(a + b for a, b in zip(values.get(state, zero), m))
+    covers = list(model.initial_covers())
+    k = i_max + 1
+    index, edges, completions = model.walk(
+        (st for st, _ in covers), budget.pairing_state_cap // k,
+        f"augmented dimension states*{k} exceeds cap {budget.pairing_state_cap}")
+    dim = len(index) * k          # the (state, j) pairs and the order cap
 
-    states = _reachable_states(model, values.keys())
-    dim = len(states) * (i_max + 1)
-    if dim > budget.pairing_state_cap:
-        raise StateBudgetError(
-            f"augmented dimension {dim} exceeds cap {budget.pairing_state_cap}")
+    start = [0] * dim
+    for state, closed in covers:
+        for t in range(k):
+            start[index[state] * k + t] += closed ** t
+    rows = _pull_rows(((dst * k + t, src * k + j, _shift_coeff(t, j, c))
+                       for src, dst, c in edges
+                       for t in range(k) for j in range(t + 1)), dim)
+    outputs = [[sum(_shift_coeff(i, j, o) for o in orbits) if j <= i else 0
+                for orbits in completions for j in range(k)]
+               for i in range(k)]
 
-    cap = dim
-    terms: dict[int, list[int]] = {i: [] for i in range(i_max + 1)}
-    for step in range(fit_term_count(cap)):
-        if step:
-            new_vals: dict[PairingState, tuple] = {}
-            for st, m in values.items():
-                for st2, closed in model.transitions(st):
-                    shifted = _binomial_shift(m, closed)
-                    cur = new_vals.get(st2, zero)
-                    new_vals[st2] = tuple(a + b for a, b in zip(cur, shifted))
-            values = new_vals
-        for i in range(i_max + 1):
-            total = 0
-            for st, m in values.items():
-                for orbits in model.completion_orbit_counts(st):
-                    total += sum(comb(i, j) * orbits ** (i - j) * m[j]
-                                 for j in range(i + 1))
-            terms[i].append(total)
-
-    recs = {i: min_recurrence(terms[i], model.n0, cap)
-            for i in range(i_max + 1)}
-    return MomentsResult(spec, i_max, model.n0, len(states), terms, recs)
+    terms = dict(enumerate(iterate(rows, start, outputs, fit_term_count(dim))))
+    recs = {i: min_recurrence(terms[i], model.n0, dim) for i in range(k)}
+    return MomentsResult(spec, i_max, model.n0, len(index), terms, recs)
 
 
 def moments_ratio(spec: CirculantSpec, n: int,
@@ -380,44 +386,30 @@ def hamiltonian_derive(spec: CirculantSpec,
     form a single orbit covering every path."""
     budget = budget or default_budget()
     model = SignedModel(spec)
-    values: dict[PairingState, int] = {}
-    events: list[tuple[int, int]] = []
-    ham_l_n = 0  # covers that are Hamiltonian cycles of the lattice itself
-    for state, closed in model.initial_covers():
+    covers = list(model.initial_covers())
+    index, edges, completions = model.walk(
+        (st for st, closed in covers if closed == 0),
+        budget.pairing_state_cap - 1,
+        f"tour state count states+1 exceeds cap {budget.pairing_state_cap}")
+    states = list(index)
+    sink = len(states)            # tours that closed over all of L_n
+
+    start = [0] * (sink + 1)
+    for state, closed in covers:
         if closed == 0:
-            values[state] = values.get(state, 0) + 1
+            start[index[state]] += 1
         elif closed == 1 and not state.pairing and all(
                 all(b == 1 for b in bits) for bits in (state.lp, state.lm, state.rp, state.rm)):
-            ham_l_n += 1
+            start[sink] += 1
+    # a step that closes a cycle keeps a tour only if no open path is left
+    rows = _pull_rows(((dst if closed == 0 else sink, src, 1)
+                       for src, dst, closed in edges
+                       if closed == 0 or not states[dst].pairing), sink + 1)
+    tours = [sum(1 for o in orbits if o == 1) for orbits in completions] + [1]
+    at_sink = [0] * sink + [1]
 
-    states = _reachable_states(model, values.keys())
-    dim = len(states) + 1
-    if dim > budget.pairing_state_cap:
-        raise StateBudgetError(
-            f"tour state count {dim} exceeds cap {budget.pairing_state_cap}")
-
-    cap = dim
-    terms: list[int] = []
-    n = model.n0
-    for step in range(fit_term_count(cap)):
-        if step:
-            new_vals: dict[PairingState, int] = {}
-            new_ham_l = 0
-            for st, cnt in values.items():
-                for st2, closed in model.transitions(st):
-                    if closed == 0:
-                        new_vals[st2] = new_vals.get(st2, 0) + cnt
-                    elif not st2.pairing:
-                        new_ham_l += cnt   # the single path closed over everything
-            values = new_vals
-            ham_l_n = new_ham_l
-            n += 1
-        total = ham_l_n
-        for st, cnt in values.items():
-            total += cnt * sum(1 for o in model.completion_orbit_counts(st) if o == 1)
-        if ham_l_n:
-            events.append((n, ham_l_n))
-        terms.append(total)
-
+    cap = sink + 1
+    terms, sunk = iterate(rows, start, [tours, at_sink], fit_term_count(cap))
+    events = [(n, c) for n, c in enumerate(sunk, start=model.n0) if c]
     rec = min_recurrence(terms, model.n0, cap)
-    return HamiltonianResult(spec, model.n0, len(states), terms, rec, events)
+    return HamiltonianResult(spec, model.n0, sink, terms, rec, events)

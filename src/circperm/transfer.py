@@ -6,8 +6,10 @@ stored.  T0 is a census of the legal covers of L_{n0}, bucketed by
 classification, and A-bar is checked against a second census at n0+1:
 applied to each left tuple's slice of T0 it must give that census.  A-bar
 itself is block diagonal in the zero-count groups B_i, which is both the
-degree-bound argument and the work-saver: iteration applies each B_i to its
-own slice independently.
+degree-bound argument and the work-saver: each left tuple's slice of T0 only
+ever meets its own B_i.  `iterate` is the package's one stepping loop (sparse
+pull rows, a start vector and output vectors in, one term list per output
+out); `sequence` and the pairing transfers of `extensions` both feed it.
 """
 from __future__ import annotations
 
@@ -222,45 +224,47 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
                           weighted=dec.spec.weights is not None)
 
 
+def iterate(rows: list[list[tuple[int, object]]], start: list,
+            outputs: list[list], steps: int) -> list[list]:
+    """The one transfer stepping loop: for each output vector o, the terms
+    o . v_k for k = 0..steps-1, where v_0 = `start` and v_{k+1}[i] is the sum
+    of val * v_k[col] over the sparse pull row `rows[i]` of (col, val) pairs.
+    Exact on ints and Fractions alike."""
+    outs = [[(j, o) for j, o in enumerate(out) if o] for out in outputs]
+    terms: list[list] = [[] for _ in outs]
+    vec = start
+    for k in range(steps):
+        if k:
+            vec = [sum(val * vec[j] for j, val in row) for row in rows]
+        for out, ts in zip(outs, terms):
+            ts.append(sum(o * vec[j] for j, o in out))
+    return terms
+
+
 def sequence(system: TransferSystem, n_max: int) -> list:
-    """Exact T(n) for n = n0..n_max by per-block application of A-bar.
+    """Exact T(n) for n = n0..n_max, iterating A-bar on T0 by block.
 
     Each left tuple's slice of T0 is supported on the zero-count group
-    matching its own popcount, so only that B_i ever acts on it.
+    matching its own popcount, so only that B_i ever acts on it: the nonzero
+    slices become one block-diagonal system with beta as its output.
     """
     ordering = system.ordering
     nr = ordering.num_rights
-    spans = ordering.group_spans
-    sparse_blocks = []
-    for b in system.blocks:
-        sparse_blocks.append([[(j, v) for j, v in enumerate(row) if v != 0]
-                              for row in b])
-
-    segments = []          # (block index, beta slice, value vector)
+    rows: list[list] = []
+    start: list = []
+    beta: list = []
     for li, left in enumerate(ordering.lefts):
         pc = sum(left)
-        start, size = spans[pc]
-        seg_t0 = system.t0[li * nr:(li + 1) * nr]
-        seg_beta = system.beta[li * nr:(li + 1) * nr]
-        if any(v != 0 for k, v in enumerate(seg_t0) if not start <= k < start + size):
+        lo, size = ordering.group_spans[pc]
+        seg = system.t0[li * nr:(li + 1) * nr]
+        if any(v != 0 for k, v in enumerate(seg) if not lo <= k < lo + size):
             raise BlockStructureError(
                 "T0 has support outside its zero-count group")
         # a zero slice stays zero under every B_i
-        if any(seg_t0[start:start + size]):
-            segments.append((pc, seg_beta[start:start + size],
-                             seg_t0[start:start + size]))
-
-    def dot(beta_slice, vec):
-        return sum(b * v for b, v in zip(beta_slice, vec) if b != 0 and v != 0)
-
-    def step(seg):
-        pc, bslice, vec = seg
-        rows = sparse_blocks[pc]
-        return (pc, bslice, [sum(val * vec[j] for j, val in row) for row in rows])
-
-    terms = []
-    for n in range(system.n0, n_max + 1):
-        if n > system.n0:
-            segments = [step(s) for s in segments]
-        terms.append(sum(dot(b, v) for _, b, v in segments))
-    return terms
+        if any(seg[lo:lo + size]):
+            off = len(start)
+            rows += [[(off + j, v) for j, v in enumerate(row) if v != 0]
+                     for row in system.blocks[pc]]
+            start += seg[lo:lo + size]
+            beta += system.beta[li * nr + lo:li * nr + lo + size]
+    return iterate(rows, start, [beta], n_max - system.n0 + 1)[0]

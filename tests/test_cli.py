@@ -58,6 +58,27 @@ def test_growth_value(capsys):
     assert out.strip().startswith("1.618033989")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--jumps", "0,1,2"],
+    ["--jumps", "0,1,4", "--weights", "-1,1/2,3"],
+])
+def test_growth_json_is_the_derive_growth_block(capsys, argv):
+    _, out = run(capsys, "derive", *argv, "--out", "json")
+    want = json.loads(out)["growth"]
+    code, out = run(capsys, "growth", *argv, "--out", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert {k: rep[k] for k in want} == want
+    assert set(rep) == {"schema", "spec", *want}
+
+
+def test_growth_json_prints_true_digits(capsys):
+    code, out = run(capsys, "growth", "--jumps", "0,1,2", "--out", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["dominant_root"] == rep["modulus"] == "1.6180339887"
+
+
 def test_moments_table_row(capsys):
     code, out = run(capsys, "moments", "--jumps", "-1,0,1", "--order", "1")
     assert code == 0

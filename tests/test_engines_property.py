@@ -1,10 +1,13 @@
-"""Property test: the pairing-augmented engine behind `moments` and the
-classification transfer behind `derive` count the same cycle covers."""
+"""Property tests: the pairing-augmented engine behind `moments` and the
+classification transfer behind `derive` count the same cycle covers, and the
+compiled pairing transfers match exhaustive enumeration."""
 import pytest
 
+from circperm.algebra import eval_recurrence
 from circperm.circulant import jump_residues, parse_spec
 from circperm.errors import CollisionError
-from circperm.extensions import moments_derive
+from circperm.extensions import hamiltonian_derive, moments_derive
+from circperm.oracle import brute_hamiltonian, enumerate_stats
 from circperm.pipeline import derive
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -32,5 +35,47 @@ def test_zeroth_moment_equals_the_derived_permanent(jumps):
         except CollisionError:
             continue
         assert term == res.raw_term(n), (jumps, n)
+        checked += 1
+    assert checked
+
+
+# raw constant jump sets from [-3, 3] of width <= 3 with a jump >= 0
+narrow_jump_sets = st.lists(st.integers(-3, 3), min_size=1, max_size=4,
+                            unique=True).filter(
+    lambda js: max(js) - min(js) <= 3 and max(js) >= 0).map(sorted)
+
+
+def _value(terms, rec, n0, n):
+    """The stored term at n, or the recurrence past the stored terms."""
+    return terms[n - n0] if n - n0 < len(terms) else eval_recurrence(rec, n)
+
+
+def _enumerable_sizes(spec, n0, n_max=10):
+    for n in range(n0, n_max + 1):
+        if spec.size(n) <= 0:
+            continue
+        try:
+            jump_residues(spec, n)
+        except CollisionError:
+            continue
+        yield n
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(narrow_jump_sets)
+@hypothesis.example([0])
+@hypothesis.example([-3, -1, 0])
+def test_pairing_transfers_match_enumeration(jumps):
+    spec = parse_spec(",".join(map(str, jumps)))
+    ham = hamiltonian_derive(spec)
+    mom = moments_derive(spec, 2)
+    assert ham.n0 == mom.n0
+    checked = 0
+    for n in _enumerable_sizes(spec, ham.n0):
+        got = _value(ham.terms, ham.recurrence, ham.n0, n)
+        assert got == brute_hamiltonian(spec, n), (jumps, n)
+        sums = enumerate_stats(spec, n, 2).moment_sums
+        got = [_value(mom.terms[i], mom.recurrences[i], mom.n0, n) for i in range(3)]
+        assert got == list(sums), (jumps, n)
         checked += 1
     assert checked

@@ -8,7 +8,7 @@ from circperm.algebra import eval_recurrence
 from circperm.budget import Budget
 from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError, StateBudgetError
-from circperm.extensions import (PairingState, _binomial_shift,
+from circperm.extensions import (PairingState, SignedModel, _shift_coeff,
                                  hamiltonian_derive, moments_derive,
                                  moments_ratio)
 from circperm.oracle import brute_hamiltonian, enumerate_stats
@@ -33,11 +33,15 @@ def test_zeroth_moment_is_the_permanent(derived):
 
 
 def test_moment_shift_is_a_monoid_action():
+    def shift(m, c):
+        return tuple(sum(_shift_coeff(t, j, c) * m[j] for j in range(t + 1))
+                     for t in range(len(m)))
+
     m = (3, 5, 11, 29)
+    assert shift(m, 0) == m
     for c1 in range(3):
         for c2 in range(3):
-            assert (_binomial_shift(_binomial_shift(m, c1), c2)
-                    == _binomial_shift(m, c1 + c2))
+            assert shift(shift(m, c1), c2) == shift(m, c1 + c2)
 
 
 def test_table2_rows():
@@ -77,6 +81,46 @@ def test_moments_refuse_normalized_specs():
 def test_state_budget():
     with pytest.raises(StateBudgetError):
         moments_derive(parse_spec("-1,0,1"), 1, Budget(pairing_state_cap=3))
+
+
+def test_hamiltonian_state_budget():
+    # {1,2} has 3 tour states, so the tour dimension is 4
+    assert hamiltonian_derive(parse_spec("1,2"), Budget(pairing_state_cap=4))
+    with pytest.raises(StateBudgetError):
+        hamiltonian_derive(parse_spec("1,2"), Budget(pairing_state_cap=3))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(SignedModel, name)
+
+    def counted(self, state):
+        calls.append(state)
+        return original(self, state)
+    monkeypatch.setattr(SignedModel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("derive_fn", [
+    lambda spec, budget: hamiltonian_derive(spec, budget),
+    lambda spec, budget: moments_derive(spec, 1, budget),
+])
+def test_refusal_at_the_cap_expands_no_further(monkeypatch, derive_fn):
+    # {-2,1,2,5} reaches 9686 tour states; the walk must stop at the cap
+    expanded = _count_calls(monkeypatch, "transitions")
+    with pytest.raises(StateBudgetError):
+        derive_fn(parse_spec("-2,1,2,5"), Budget(pairing_state_cap=8))
+    assert len(expanded) <= 8
+
+
+def test_pairing_transfer_is_compiled_once(monkeypatch):
+    # every state is expanded and completed once, not once per step
+    expanded = _count_calls(monkeypatch, "transitions")
+    completed = _count_calls(monkeypatch, "completion_orbit_counts")
+    res = hamiltonian_derive(parse_spec("1,4"))
+    assert res.state_count == 50
+    assert len(expanded) == len(completed) == res.state_count
+    assert len(set(expanded)) == res.state_count
 
 
 def test_pairing_state_consistency_check():
