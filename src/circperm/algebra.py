@@ -292,24 +292,21 @@ def _berlekamp_massey(terms: Sequence) -> tuple[int, list[Fraction]]:
     return order, [-v for v in conn[1:order + 1]]
 
 
-def min_recurrence(terms: Sequence, base: int, degree_cap: int,
-                   guard: int = GUARD) -> Recurrence:
+def min_recurrence(terms: Sequence, base: int, degree_cap: int) -> Recurrence:
     """Minimal-order exact linear recurrence fitted to `terms`.
 
-    Berlekamp-Massey over the rationals on all but the last `guard` terms
+    Berlekamp-Massey over the rationals on all but the last GUARD terms
     finds the shortest recurrence of that fit region in O(N^2); with at
     least 2*degree_cap terms there it is the unique one of its order.  The
     result is then re-checked on every term, the held-out guard included.
     An all-zero sequence gets order 1 with coefficient 0.  Raises
     NoRecurrenceError when no order <= degree_cap reproduces every term.
     """
-    if guard < 4:
-        raise InconsistencyError("guard must be at least 4")
     terms = [Fraction(t) if not isinstance(t, int) else t for t in terms]
-    if len(terms) < 2 * degree_cap + guard:
+    if len(terms) < 2 * degree_cap + GUARD:
         raise InconsistencyError(
-            f"need at least {2 * degree_cap + guard} terms, got {len(terms)}")
-    order, coeffs = _berlekamp_massey(terms[:len(terms) - guard])
+            f"need at least {2 * degree_cap + GUARD} terms, got {len(terms)}")
+    order, coeffs = _berlekamp_massey(terms[:len(terms) - GUARD])
     if order == 0:
         order, coeffs = 1, [Fraction(0)]
     # a fit of the first N - guard terms that misses a later term leaves no
@@ -349,45 +346,37 @@ def _mulx(a: list[int], chi: list[int]) -> list[int]:
 
 
 def eval_recurrence(rec: Recurrence, n: int):
-    """Exact T(n).  Forward it is sum_i r_i * initials_i with
-    r(x) = x^(n-base) mod chi(x) by square-and-multiply (Fiduccia 1985):
-    O(d^2 log n) multiplications, all on ints.  Backward it steps one term
-    at a time below the base, which needs an invertible trailing
-    coefficient."""
-    if n >= rec.base:
-        # with D the lcm of the coefficient denominators, U(m) =
-        # D^m * T(base+m) obeys the integer recurrence c'_j = c_j * D^j
-        coeffs = [Fraction(c) for c in rec.coeffs]
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        chi = [int(c * scale ** j) for j, c in enumerate(coeffs, 1)]
-        inits = [Fraction(v) * scale ** i for i, v in enumerate(rec.initials)]
-        common = math.lcm(*(v.denominator for v in inits))
-        k = n - rec.base
-        r = [1] + [0] * (rec.order - 1)
-        for bit in bin(k)[2:]:
-            r = _mulmod(r, r, chi)
-            if bit == "1":
-                r = _mulx(r, chi)
-        num = sum(ri * v.numerator * (common // v.denominator)
-                  for ri, v in zip(r, inits))
-        den = common * scale ** k
-        v = num if den == 1 else Fraction(num, den)
-    else:
+    """Exact T(n) = sum_i r_i * initials_i with r(x) = x^(n-base) mod chi(x)
+    by square-and-multiply (Fiduccia 1985): O(d^2 log n) multiplications,
+    all on ints.  Below the base it runs the reversed recurrence forward,
+    which needs an invertible trailing coefficient."""
+    if n < rec.base:
         cd = rec.coeffs[-1]
         if cd == 0:
             raise InconsistencyError("cannot extend backward: trailing coefficient 0")
-        back = list(rec.initials)
-        for _ in range(rec.base - n):
-            # window holds T(m..m+d-1); the relation at m+d-1 solves T(m-1)
-            top = back[rec.order - 1]
-            acc = top - sum(rec.coeffs[j - 1] * back[rec.order - 1 - j]
-                            for j in range(1, rec.order))
-            back.insert(0, Fraction(acc, 1) / cd)
-            back.pop()
-        v = back[0]
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+        # S(k) = T(base + d - 1 - k) has S(k) = sum_{j<d} -c_(d-j)/c_d
+        # S(k-j) + S(k-d)/c_d, starting from the initials reversed
+        back = tuple(-Fraction(c) / cd for c in reversed(rec.coeffs[:-1]))
+        rev = Recurrence(rec.order, back + (1 / Fraction(cd),), 0,
+                         rec.initials[::-1])
+        return eval_recurrence(rev, rec.base + rec.order - 1 - n)
+    # with D the lcm of the coefficient denominators, U(m) =
+    # D^m * T(base+m) obeys the integer recurrence c'_j = c_j * D^j
+    coeffs = [Fraction(c) for c in rec.coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    chi = [int(c * scale ** j) for j, c in enumerate(coeffs, 1)]
+    inits = [Fraction(v) * scale ** i for i, v in enumerate(rec.initials)]
+    common = math.lcm(*(v.denominator for v in inits))
+    k = n - rec.base
+    r = [1] + [0] * (rec.order - 1)
+    for bit in bin(k)[2:]:
+        r = _mulmod(r, r, chi)
+        if bit == "1":
+            r = _mulx(r, chi)
+    num = sum(ri * v.numerator * (common // v.denominator)
+              for ri, v in zip(r, inits))
+    den = common * scale ** k
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -70,21 +70,15 @@ class CirculantSpec:
     def weighted(self) -> bool:
         return self.weights is not None and any(w != 1 for w in self.weights)
 
-    def weight(self, jump_index: int) -> Fraction:
-        if self.weights is None:
-            return Fraction(1)
-        return self.weights[jump_index]
+    def weight(self, jump_index: int) -> Fraction | int:
+        """The jump's weight; 1 for every jump of an unweighted spec."""
+        return 1 if self.weights is None else self.weights[jump_index]
 
     def size(self, n: int) -> int:
         return self.size_coeff * n + self.size_offset
 
     def jump_values(self, n: int) -> list[int]:
         return [p * n + s for p, s in self.jumps]
-
-    @property
-    def bar_s(self) -> int:
-        """Largest jump offset (controls boundary width); requires offsets >= 0."""
-        return max(s for _, s in self.jumps)
 
     def describe(self) -> str:
         terms = []
@@ -195,7 +189,7 @@ def jump_residues(spec: CirculantSpec, n: int) -> dict[int, Fraction | int]:
         if r in residues:
             raise CollisionError(
                 f"jumps collide mod {size} at n={n}: residue {r} duplicated")
-        residues[r] = spec.weight(idx) if spec.weights is not None else 1
+        residues[r] = spec.weight(idx)
     return residues
 
 

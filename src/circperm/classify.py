@@ -82,11 +82,8 @@ class ClassOrdering:
                 yield Classification(left, right)
 
 
-def right_slot(dec: Decomposition, sym) -> int:
-    return sym.row * dec.bar_s + sym.offset
-
-
-def left_slot(dec: Decomposition, sym) -> int:
+def slot(dec: Decomposition, sym) -> int:
+    """Window slot of a boundary vertex, left or right: row * bar_s + offset."""
     return sym.row * dec.bar_s + sym.offset
 
 
@@ -105,7 +102,7 @@ def extend_right(dec: Decomposition, right: Bits,
     for e in s_new:
         t = e.tail
         if t.anchor == "R":
-            add[right_slot(dec, t)] += 1
+            add[slot(dec, t)] += 1
         else:  # "N"
             nv_out[t.row] += 1
     new_right = [0] * w
@@ -152,8 +149,8 @@ def completes(dec: Decomposition, x: Classification,
     for e in s_hook:
         if e.tail.anchor != "R" or e.head.anchor != "L":
             raise InconsistencyError("completes() expects R->L hook edges")
-        out_add[right_slot(dec, e.tail)] += 1
-        in_add[left_slot(dec, e.head)] += 1
+        out_add[slot(dec, e.tail)] += 1
+        in_add[slot(dec, e.head)] += 1
     return (all(x.right[i] + out_add[i] == 1 for i in range(w))
             and all(x.left[i] + in_add[i] == 1 for i in range(w)))
 

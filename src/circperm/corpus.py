@@ -19,11 +19,11 @@ from typing import Callable, Optional
 
 from .algebra import eval_recurrence
 from .budget import Budget, default_budget
-from .circulant import adjacency_matrix, parse_spec
-from .errors import BlockStructureError, CollisionError
+from .circulant import CirculantSpec, parse_spec
+from .errors import BlockStructureError, SizeCapError
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
-from .oracle import brute_hamiltonian, enumerate_stats, ryser_permanent
-from .pipeline import DeriveResult, derive
+from .oracle import brute_hamiltonian, enumerate_stats
+from .pipeline import DeriveResult, derive, verify
 from .transfer import verify_against_census
 
 Check = tuple[str, bool, str]
@@ -183,36 +183,37 @@ def check_table1(get=None) -> list[Check]:
     return out
 
 
+def _ledger(spec: CirculantSpec, n_max: int, budget: Optional[Budget],
+            res: DeriveResult) -> tuple[bool, int, str]:
+    """(ok, sizes checked, detail) of `verify` up to n_max: the detail
+    names the first mismatch.  A size within n_max past the Ryser cap is
+    refused, as the oracle would refuse it."""
+    budget = budget or default_budget()
+    entries = verify(spec, n_max, budget, res)
+    for e in entries:
+        if e.size > budget.ryser_max_dim:
+            raise SizeCapError(
+                f"Ryser dimension {e.size} exceeds cap {budget.ryser_max_dim}")
+    checked = [e for e in entries if e.recurrence_value is not None]
+    bad = next((e for e in checked if not e.ok), None)
+    if bad is not None:
+        return False, len(checked), (
+            f"n={bad.n}: rec={bad.recurrence_value} ryser={bad.ryser_value} "
+            f"enum={bad.enumeration_value}")
+    return True, len(checked), ""
+
+
 def check_oracle_equivalence(budget: Optional[Budget] = None, get=None,
                              size_cap: int = 20) -> list[Check]:
     """Recurrence vs Ryser vs enumeration, every corpus spec, sizes <= cap."""
-    budget = budget or default_budget()
     get = get or _derive_cached()
     specs = [(row["jumps"], row["size"]) for row in TABLE1]
     specs += [("1,2,3", None), ("1,2", None)]
     out: list[Check] = []
     for jumps, size in specs:
         spec = parse_spec(jumps, size)
-        res = get(jumps, size)
-        shift = res.normalized.trace.index_shift
-        checked, ok = 0, True
-        detail = ""
-        n = max(res.n0 - shift, 1)
-        while spec.size(n) <= size_cap:
-            try:
-                ry = ryser_permanent(adjacency_matrix(spec, n),
-                                     max_dim=budget.ryser_max_dim)
-            except CollisionError:
-                n += 1
-                continue
-            en = enumerate_stats(spec, n, 0, budget).count
-            rec_val = res.raw_term(n)
-            if not (rec_val == ry == en):
-                ok = False
-                detail = f"n={n}: rec={rec_val} ryser={ry} enum={en}"
-                break
-            checked += 1
-            n += 1
+        n_max = (size_cap - spec.size_offset) // spec.size_coeff
+        ok, checked, detail = _ledger(spec, n_max, budget, get(jumps, size))
         out.append((f"oracle equivalence {jumps}" + (f" size {size}" if size else ""),
                     ok and checked > 0, detail or f"{checked} sizes checked"))
     return out
@@ -281,7 +282,7 @@ def check_table2(budget: Optional[Budget] = None,
     return out
 
 
-def check_shift_pairs(get=None, extra: int = 4) -> list[Check]:
+def check_shift_pairs(get=None) -> list[Check]:
     """Permanents agree across each shifted pair; TC1 does not (C^0 vs C^1)."""
     get = get or _derive_cached()
     out: list[Check] = []
@@ -331,10 +332,10 @@ def check_weighted(get=None) -> list[Check]:
     case = WEIGHTED_CASE
     wres = get(case["jumps"], None, case["weights"])
     spec = parse_spec(case["jumps"], weights=case["weights"])
-    ok = all(wres.raw_term(n) == ryser_permanent(adjacency_matrix(spec, n))
-             for n in range(4, 13))
+    # sizes up to 12 fit the default caps whatever budget the replay runs under
+    ok, _, detail = _ledger(spec, 12, Budget(), wres)
     out.append((f"weighted {case['weights']} on {case['jumps']} = weighted Ryser, n = 4..12",
-                ok, ""))
+                ok, detail))
     plain = get(case["jumps"])
     unit = get(case["jumps"], None, "1,1,1")
     ok = (plain.recurrence.order == unit.recurrence.order

@@ -66,23 +66,23 @@ class PairingState:
 class SignedModel:
     """Transition/completion machinery for one raw constant-jump set."""
 
-    def __init__(self, spec: CirculantSpec):
+    def __init__(self, spec: CirculantSpec, analysis: str):
+        """`analysis` names what is derived ("cycle moments", ...) in the
+        refusal of a weighted spec."""
         if not spec.constant:
             raise InconsistencyError("raw-jump analyses need a constant-jump spec")
         if not spec.trace.trivial:
             raise InconsistencyError(
                 "raw-jump analyses are not shift-invariant; pass the un-normalized spec")
         if spec.weighted:
-            raise InconsistencyError("cycle moments are defined for unweighted specs")
+            raise InconsistencyError(f"{analysis} are defined for unweighted specs")
         jumps = [s for _, s in spec.jumps]
         if not any(t >= 0 for t in jumps):
             raise InconsistencyError("need at least one non-negative jump")
         self.spec = spec
         self.jumps = jumps
-        self.s_plus = max([t for t in jumps if t >= 0], default=0)
-        self.s_minus = max([-t for t in jumps if t < 0], default=0)
-        self.n0 = 2 * (self.s_plus + self.s_minus)
         dec = decompose(spec)
+        self.s_plus, self.s_minus, self.n0 = dec.s_plus, dec.s_minus, dec.n0
         self.in_jumps = sorted(t for t in jumps if t >= 0)
         self.out_jumps = sorted(t for t in jumps if t < 0)
         # hook edges as (end slot, start slot) gluing pairs, from the verified
@@ -330,7 +330,7 @@ def moments_derive(spec: CirculantSpec, i_max: int,
     if i_max < 0:
         raise InconsistencyError(f"moment order must be >= 0, got {i_max}")
     budget = budget or default_budget()
-    model = SignedModel(spec)
+    model = SignedModel(spec, "cycle moments")
     covers = list(model.initial_covers())
     k = i_max + 1
     index, edges, completions = model.walk(
@@ -385,7 +385,7 @@ def hamiltonian_derive(spec: CirculantSpec,
     (legal tour) pairing transfer; acceptance requires the hook gluing to
     form a single orbit covering every path."""
     budget = budget or default_budget()
-    model = SignedModel(spec)
+    model = SignedModel(spec, "Hamiltonian cycle counts")
     covers = list(model.initial_covers())
     index, edges, completions = model.walk(
         (st for st, closed in covers if closed == 0),

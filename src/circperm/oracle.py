@@ -6,6 +6,7 @@ enforced here; exceeding one raises SizeCapError rather than truncating.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterator, Optional, Sequence
@@ -18,25 +19,33 @@ from .errors import SizeCapError
 def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
     """Exact permanent by Ryser's alternating sum over column subsets.
 
-    Gray-code updates touch one column per step; the running product over
-    row sums is maintained incrementally through a (zero count, product of
-    nonzeros) pair, so each step costs O(nonzeros in the flipped column).
-    Entries may be ints or Fractions; the result is exact either way.
+    Entries may be ints or Fractions.  Each row is scaled by the lcm D_r of
+    its denominators, so the sum runs on ints, and perm(M) = perm(DM) / prod
+    D_r is divided out once at the end: an int when integral, else a
+    Fraction.  Gray-code updates touch one column per step; the running
+    product over row sums is maintained incrementally through a (zero
+    count, product of nonzeros) pair, so each step costs O(nonzeros in the
+    flipped column).
     """
     n = len(matrix)
     if max_dim is not None and n > max_dim:
         raise SizeCapError(f"Ryser dimension {n} exceeds cap {max_dim}")
     if n == 0:
         return 1
-    exact_int = all(isinstance(matrix[i][j], int) for i in range(n) for j in range(n))
-    cols = [[(i, matrix[i][j]) for i in range(n) if matrix[i][j] != 0]
+    scale = 1
+    rows = []
+    for row in matrix:
+        d = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
+    cols = [[(i, rows[i][j]) for i in range(n) if rows[i][j] != 0]
             for j in range(n)]
     if any(not c for c in cols):
-        return Fraction(0) if not exact_int else 0
+        return 0
 
     w = [0] * n               # row sums over the current column subset
     zero_count = n
-    prod = 1 if exact_int else Fraction(1)   # product of the nonzero w[i]
+    prod = 1                  # product of the nonzero w[i]
     total = 0
     membership = 0
     size = 0
@@ -52,17 +61,15 @@ def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
             w[i] = new
             if old == 0:
                 zero_count -= 1
-            elif exact_int:
-                prod //= old
             else:
-                prod /= old
+                prod //= old
             if new == 0:
                 zero_count += 1
             else:
                 prod *= new
         if zero_count == 0:
             total += prod if (n - size) % 2 == 0 else -prod
-    return total
+    return total // scale if total % scale == 0 else Fraction(total, scale)
 
 
 @dataclass(frozen=True)

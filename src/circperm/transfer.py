@@ -13,14 +13,13 @@ out); `sequence` and the pairing transfers of `extensions` both feed it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .circulant import CirculantSpec
-from .classify import (ClassOrdering, extend_right, left_slot, right_slot,
-                       window_vertices)
+from .classify import ClassOrdering, extend_right, slot, window_vertices
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import Decomposition, lattice_edges, lattice_vertices
 from .oracle import enumerate_legal_covers, ryser_permanent
@@ -35,15 +34,6 @@ def new_edge_choices(dec: Decomposition) -> list[tuple]:
     if any(not c for c in by_head):
         raise InconsistencyError("some new vertex has no incoming New edge")
     return [tuple(combo) for combo in product(*by_head)]
-
-
-def _subset_weight(spec: CirculantSpec, jump_indices) -> Fraction | int:
-    if spec.weights is None:
-        return 1
-    w = Fraction(1)
-    for idx in jump_indices:
-        w *= spec.weight(idx)
-    return w
 
 
 @dataclass
@@ -111,7 +101,7 @@ def build_alpha(dec: Decomposition,
     nr = ordering.num_rights
     a_bar = [[0] * nr for _ in range(nr)]
     choices = new_edge_choices(dec)
-    weights = [_subset_weight(dec.spec, (e.jump_index for e in c))
+    weights = [math.prod(dec.spec.weight(e.jump_index) for e in c)
                for c in choices]
     for right in ordering.rights:
         c = ordering.right_pos[right]
@@ -133,9 +123,8 @@ def build_beta(dec: Decomposition,
     ordering = ordering or ClassOrdering(dec.slot_width)
     hook_map: dict[tuple[int, int], Fraction | int] = {}
     for e in dec.hook:
-        key = (right_slot(dec, e.tail), left_slot(dec, e.head))
-        hook_map[key] = hook_map.get(key, 0) + (
-            dec.spec.weight(e.jump_index) if dec.spec.weights is not None else 1)
+        key = (slot(dec, e.tail), slot(dec, e.head))
+        hook_map[key] = hook_map.get(key, 0) + dec.spec.weight(e.jump_index)
     w = dec.slot_width
     beta = []
     for left in ordering.lefts:
@@ -182,11 +171,12 @@ def census(dec: Decomposition, ordering: ClassOrdering, n: int) -> list:
     spec = dec.spec
     left, right = window_vertices(dec, n)
     bucket = _bucketer(ordering, left, right)
+    weight = [spec.weight(i) for i in range(len(spec.jumps))]
     counts = [0] * (len(ordering.lefts) * ordering.num_rights)
     for cover in enumerate_legal_covers(lattice_vertices(spec, n),
                                         sorted(lattice_edges(spec, n)),
                                         set(left), set(right)):
-        counts[bucket(cover)] += _subset_weight(spec, (idx for _, _, idx in cover))
+        counts[bucket(cover)] += math.prod(weight[idx] for _, _, idx in cover)
     return counts
 
 

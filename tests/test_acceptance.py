@@ -7,6 +7,7 @@ all give 20), and the {0,1,2} cycle-moment ratio read at n=200 (the ratio
 carries a +1/n correction, putting it 5e-3 from its limit there; the stated
 1e-3 tolerance holds from n=1000 on).
 """
+import copy
 import time
 
 import pytest
@@ -53,6 +54,18 @@ def test_criterion_3_oracle_equivalence(get):
     checks = corpus.check_oracle_equivalence(get=get, size_cap=20)
     _assert_all("3 recurrence = Ryser = enumeration up to size 20", checks,
                 budget_s=300.0, elapsed=time.perf_counter() - t0)
+
+
+def test_oracle_equivalence_reports_a_wrong_term(get):
+    # one corpus spec whose derived T is off by one at raw n = 7
+    res = copy.copy(get("1,2"))
+    res.raw_term = lambda n: res.term(n) + (n == 7)     # index shift 0
+    checks = {label: (ok, detail) for label, ok, detail in
+              corpus.check_oracle_equivalence(
+                  get=lambda *key: res if key == ("1,2", None) else get(*key),
+                  size_cap=13)}
+    assert checks["oracle equivalence 1,2"] == (False, "n=7: rec=3 ryser=2 enum=2")
+    assert checks["oracle equivalence 1,2,3"] == (True, "10 sizes checked")
 
 
 def test_criterion_4_degree_bounds(get):

@@ -178,6 +178,17 @@ def test_bad_argument_exits_3_with_one_line(capsys, monkeypatch, argv, env):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, analysis", [
+    ("moments", "cycle moments"),
+    ("hamiltonian", "Hamiltonian cycle counts"),
+])
+def test_weighted_raw_jump_analysis_refusal_names_it(capsys, command, analysis):
+    assert cli.main([command, "--jumps", "0,1,2", "--weights", "2,1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {analysis} are defined for unweighted specs\n"
+
+
 def test_values_past_the_int_digit_limit_print(capsys):
     limit = sys.get_int_max_str_digits()
     code, out = run(capsys, "eval", "--jumps", "0,1,2", "--n", "25000",

@@ -1,5 +1,6 @@
 """Property test: the x^k mod chi(x) evaluator returns what the term-by-term
-loop it replaced returns, plus large-n pins against independent values."""
+loops it replaced return, forward and below the base, plus large-n pins
+against independent values."""
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from circperm import cli
 from circperm.algebra import Recurrence, eval_recurrence
 from circperm.circulant import parse_spec
+from circperm.errors import InconsistencyError
 from circperm.pipeline import derive
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -15,11 +17,27 @@ st = hypothesis.strategies
 
 
 def linear_eval(rec: Recurrence, n: int):
-    """Reference evaluator: run the recurrence forward one term at a time."""
-    vals = list(rec.initials)
-    while len(vals) <= n - rec.base:
-        vals.append(sum(c * vals[-j] for j, c in enumerate(rec.coeffs, 1)))
-    v = vals[n - rec.base]
+    """Reference evaluator: run the recurrence one term at a time, forward
+    from the base, or backward below it by solving the relation at the top
+    of the window for the term under it."""
+    if n >= rec.base:
+        vals = list(rec.initials)
+        while len(vals) <= n - rec.base:
+            vals.append(sum(c * vals[-j] for j, c in enumerate(rec.coeffs, 1)))
+        v = vals[n - rec.base]
+    else:
+        cd = rec.coeffs[-1]
+        if cd == 0:
+            raise InconsistencyError("cannot extend backward: trailing coefficient 0")
+        back = list(rec.initials)
+        for _ in range(rec.base - n):
+            # window holds T(m..m+d-1); the relation at m+d-1 solves T(m-1)
+            top = back[rec.order - 1]
+            acc = top - sum(rec.coeffs[j - 1] * back[rec.order - 1 - j]
+                            for j in range(1, rec.order))
+            back.insert(0, Fraction(acc, 1) / cd)
+            back.pop()
+        v = back[0]
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
     return v
@@ -35,7 +53,7 @@ _initial = st.one_of(st.integers(-20, 20),
 def recurrences(draw):
     """(recurrence, n): order 1..8, integer or rational coefficients, a
     forced zero trailing coefficient half of the time, and n anywhere from
-    the base to base + 300."""
+    base - 30 to base + 300."""
     order = draw(st.integers(1, 8))
     coeff = _rat_coeff if draw(st.booleans()) else _int_coeff
     coeffs = draw(st.lists(coeff, min_size=order, max_size=order))
@@ -44,7 +62,7 @@ def recurrences(draw):
     initials = draw(st.lists(_initial, min_size=order, max_size=order))
     base = draw(st.integers(-3, 6))
     rec = Recurrence(order, tuple(coeffs), base, tuple(initials))
-    return rec, base + draw(st.integers(0, 300))
+    return rec, base + draw(st.integers(-30, 300))
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
@@ -53,9 +71,20 @@ def recurrences(draw):
 @hypothesis.example((Recurrence(1, (Fraction(0),), 2, (5,)), 300))
 @hypothesis.example((Recurrence(3, (Fraction(1, 2), Fraction(3), Fraction(0)), 0,
                                 (Fraction(1, 3), 2, Fraction(-7, 4))), 299))
+@hypothesis.example((Recurrence(3, (Fraction(1, 2), Fraction(3), Fraction(0)), 0,
+                                (Fraction(1, 3), 2, Fraction(-7, 4))), -1))
+@hypothesis.example((Recurrence(1, (Fraction(-2),), 5, (3,)), -25))     # order 1
+@hypothesis.example((Recurrence(2, (Fraction(1), Fraction(1, 3)), 4,
+                                (Fraction(1, 2), -1)), 3))
 def test_powering_matches_the_linear_loop(case):
     rec, n = case
-    got, want = eval_recurrence(rec, n), linear_eval(rec, n)
+    try:
+        want = linear_eval(rec, n)
+    except InconsistencyError:
+        with pytest.raises(InconsistencyError):
+            eval_recurrence(rec, n)
+        return
+    got = eval_recurrence(rec, n)
     assert got == want and type(got) is type(want)
 
 

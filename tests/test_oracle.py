@@ -50,6 +50,44 @@ def test_ryser_rational_entries():
         assert ryser_permanent(m) == naive_permanent(m), m
 
 
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+_entry = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Square matrices of dimension 0..7 whose rows mix ints and Fractions
+    of different denominators, negatives included; half of them get a zero
+    row or a zero column."""
+    n = draw(st.integers(0, 7))
+    m = [draw(st.lists(_entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            m[k] = [0] * n
+        else:
+            for row in m:
+                row[k] = Fraction(0)
+    return m
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(mixed_matrices())
+@hypothesis.example([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]])
+@hypothesis.example([[Fraction(1, 2), Fraction(1, 2)], [1, 1]])     # integral
+@hypothesis.example([[Fraction(2, 3), Fraction(1, 2)], [3, Fraction(-1, 4)]])
+def test_ryser_matches_naive_on_mixed_rows(m):
+    got, want = ryser_permanent(m), naive_permanent(m)
+    assert got == want
+    if Fraction(want).denominator == 1:
+        assert type(got) is int
+    else:
+        assert type(got) is Fraction
+
+
 def test_ryser_size_cap():
     big = [[1] * 25 for _ in range(25)]
     with pytest.raises(SizeCapError):

@@ -46,8 +46,7 @@ def ryser_t0(dec, ordering):
             for tail, head, idx in edges:
                 if head in forced_in or tail in forced_out:
                     continue
-                m[vindex[tail]][vindex[head]] = (
-                    spec.weight(idx) if spec.weights is not None else 1)
+                m[vindex[tail]][vindex[head]] = spec.weight(idx)
             for b, a in zip(rz, lz):
                 m[vindex[right_v[b]]][vindex[left_v[a]]] = 1
             t0.append(ryser_permanent(m, max_dim=None))
