@@ -14,7 +14,7 @@ from .errors import InconsistencyError
 
 @dataclass(frozen=True)
 class Budget:
-    ryser_max_dim: int = 24       # Ryser is Theta(n 2^n); dimension cap
+    ryser_max_dim: int = 24       # Glynn is Theta(nnz 2^(n-1)); dimension cap
     enum_max_size: int = 20       # exhaustive cover enumeration: matrix size cap
     enum_max_jumps: int = 4       # exhaustive cover enumeration: jump count cap
     pairing_state_cap: int = 4096  # augmented (pairing x moment) dimension cap

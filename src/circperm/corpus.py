@@ -183,17 +183,24 @@ def check_table1(get=None) -> list[Check]:
     return out
 
 
-def _ledger(spec: CirculantSpec, n_max: int, budget: Optional[Budget],
+def _ledger(label: str, spec: CirculantSpec, n_max: int,
+            budget: Optional[Budget],
             res: DeriveResult) -> tuple[bool, int, str]:
     """(ok, sizes checked, detail) of `verify` up to n_max: the detail
     names the first mismatch.  A size within n_max past the Ryser cap is
-    refused, as the oracle would refuse it."""
+    refused, as the oracle would refuse it; a refusal names the check, the
+    spec and, where there is one, the n."""
     budget = budget or default_budget()
-    entries = verify(spec, n_max, budget, res)
+    where = f"{label} ({spec.describe()})"
+    try:
+        entries = verify(spec, n_max, budget, res)
+    except SizeCapError as exc:
+        raise SizeCapError(f"{where}: {exc}") from exc
     for e in entries:
         if e.size > budget.ryser_max_dim:
             raise SizeCapError(
-                f"Ryser dimension {e.size} exceeds cap {budget.ryser_max_dim}")
+                f"{where}, n={e.n}: Ryser dimension {e.size} "
+                f"exceeds cap {budget.ryser_max_dim}")
     checked = [e for e in entries if e.recurrence_value is not None]
     bad = next((e for e in checked if not e.ok), None)
     if bad is not None:
@@ -213,9 +220,11 @@ def check_oracle_equivalence(budget: Optional[Budget] = None, get=None,
     for jumps, size in specs:
         spec = parse_spec(jumps, size)
         n_max = (size_cap - spec.size_offset) // spec.size_coeff
-        ok, checked, detail = _ledger(spec, n_max, budget, get(jumps, size))
-        out.append((f"oracle equivalence {jumps}" + (f" size {size}" if size else ""),
-                    ok and checked > 0, detail or f"{checked} sizes checked"))
+        label = f"oracle equivalence {jumps}" + (f" size {size}" if size else "")
+        ok, checked, detail = _ledger(label, spec, n_max, budget,
+                                      get(jumps, size))
+        out.append((label, ok and checked > 0,
+                    detail or f"{checked} sizes checked"))
     return out
 
 
@@ -332,10 +341,10 @@ def check_weighted(get=None) -> list[Check]:
     case = WEIGHTED_CASE
     wres = get(case["jumps"], None, case["weights"])
     spec = parse_spec(case["jumps"], weights=case["weights"])
+    label = f"weighted {case['weights']} on {case['jumps']} = weighted Ryser, n = 4..12"
     # sizes up to 12 fit the default caps whatever budget the replay runs under
-    ok, _, detail = _ledger(spec, 12, Budget(), wres)
-    out.append((f"weighted {case['weights']} on {case['jumps']} = weighted Ryser, n = 4..12",
-                ok, detail))
+    ok, _, detail = _ledger(label, spec, 12, Budget(), wres)
+    out.append((label, ok, detail))
     plain = get(case["jumps"])
     unit = get(case["jumps"], None, "1,1,1")
     ok = (plain.recurrence.order == unit.recurrence.order

@@ -1,8 +1,9 @@
-"""Brute-force ground truth: Ryser permanents and exhaustive cover enumeration.
+"""Brute-force ground truth: permanents and exhaustive cover enumeration.
 
-Two independent oracles (inclusion-exclusion vs backtracking) validate each
-other and everything derived by the transfer pipeline.  Budget caps are
-enforced here; exceeding one raises SizeCapError rather than truncating.
+Two independent oracles (inclusion-exclusion by Glynn's formula over sign
+vectors vs backtracking over cycle covers) validate each other and
+everything derived by the transfer pipeline.  Budget caps are enforced
+here; exceeding one raises SizeCapError rather than truncating.
 """
 from __future__ import annotations
 
@@ -17,15 +18,23 @@ from .errors import SizeCapError
 
 
 def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
-    """Exact permanent by Ryser's alternating sum over column subsets.
+    """Exact permanent by Glynn's alternating sum over sign vectors.
 
-    Entries may be ints or Fractions.  Each row is scaled by the lcm D_r of
-    its denominators, so the sum runs on ints, and perm(M) = perm(DM) / prod
-    D_r is divided out once at the end: an int when integral, else a
-    Fraction.  Gray-code updates touch one column per step; the running
-    product over row sums is maintained incrementally through a (zero
-    count, product of nonzeros) pair, so each step costs O(nonzeros in the
-    flipped column).
+    perm(A) = 2^-(n-1) * sum over s in {+1,-1}^n with s_0 = +1 of
+    (prod_k s_k) * prod_j (sum_i s_i a_ij): 2^(n-1) terms where Ryser's
+    formula over column subsets has 2^n (Glynn 2010).  Entries may be ints
+    or Fractions.  Each row is scaled by the lcm D_r of its denominators,
+    so the sum runs on ints, and prod D_r * 2^(n-1) is divided out once at
+    the end: an int when integral, else a Fraction.  s_1 .. s_(n-1) are
+    walked in Gray-code order, so the sign alternates and a step flips one
+    row, moving the column sums in that row's nonzeros by -+2 a_ij; the
+    product of the column sums is kept as a (zero count, product of
+    nonzeros) pair, so a step costs O(nonzeros in the flipped row).
+
+    The name, the `max_dim` cap and its message ("Ryser dimension N exceeds
+    cap M") are kept from the Ryser formula this replaced: the bench tracer
+    wraps `ryser_permanent` where `transfer` and `pipeline` import it, and
+    the CLI prints the message as it stands.
     """
     n = len(matrix)
     if max_dim is not None and n > max_dim:
@@ -33,32 +42,37 @@ def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
     if n == 0:
         return 1
     scale = 1
-    rows = []
+    sums = [0] * n            # column sums at the current sign vector
+    covered = 0               # bit j: column j has a nonzero
+    flips = []                # flips[i]: (column, change) of row i's next flip
+    unflips = []              # ... and of the flip after it
     for row in matrix:
         d = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (d // v.denominator) for v in row])
         scale *= d
-    cols = [[(i, rows[i][j]) for i in range(n) if rows[i][j] != 0]
-            for j in range(n)]
-    if any(not c for c in cols):
+        nonzeros = [(j, v.numerator * (d // v.denominator))
+                    for j, v in enumerate(row) if v]
+        if not nonzeros:
+            return 0
+        for j, a in nonzeros:
+            sums[j] += a
+            covered |= 1 << j
+        flips.append([(j, -2 * a) for j, a in nonzeros])
+        unflips.append([(j, 2 * a) for j, a in nonzeros])
+    if covered != (1 << n) - 1:
         return 0
 
-    w = [0] * n               # row sums over the current column subset
-    zero_count = n
-    prod = 1                  # product of the nonzero w[i]
-    total = 0
-    membership = 0
-    size = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        adding = not (membership & bit)
-        membership ^= bit
-        size += 1 if adding else -1
-        for i, a in cols[j]:
-            old = w[i]
-            new = old + a if adding else old - a
-            w[i] = new
+    zero_count = sums.count(0)
+    prod = math.prod(s for s in sums if s)  # product of the nonzero sums
+    total = prod if zero_count == 0 else 0
+    for k in range(1, 1 << (n - 1)):
+        i = (k & -k).bit_length()           # Gray code flips s_i
+        step = flips[i]
+        flips[i] = unflips[i]
+        unflips[i] = step
+        for j, c in step:
+            old = sums[j]
+            new = old + c
+            sums[j] = new
             if old == 0:
                 zero_count -= 1
             else:
@@ -68,7 +82,8 @@ def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
             else:
                 prod *= new
         if zero_count == 0:
-            total += prod if (n - size) % 2 == 0 else -prod
+            total += -prod if k & 1 else prod
+    scale <<= n - 1
     return total // scale if total % scale == 0 else Fraction(total, scale)
 
 

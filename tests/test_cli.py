@@ -111,6 +111,18 @@ def test_exit_code_budget(capsys):
                      "--budget-bits", "3"]) == 2
 
 
+@pytest.mark.parametrize("bits, refusal", [
+    ("10", ", n=11: Ryser dimension 11 exceeds cap 10"),
+    ("3", ": no index up to 20 fits the oracle budget for this spec"),
+])
+def test_corpus_budget_refusal_names_the_check_and_spec(capsys, bits, refusal):
+    assert cli.main(["--corpus", "--budget-bits", bits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: oracle equivalence 0,1,2 "
+                            f"(C_n^{{0,1,2}}){refusal}\n")
+
+
 def test_exit_code_verification_mismatch(capsys, monkeypatch):
     bad = [VerificationEntry(4, 4, 9, 10, None, False)]
     monkeypatch.setattr(cli, "verify", lambda *a, **k: bad)

@@ -1,4 +1,6 @@
-"""Brute-force oracles: Ryser vs naive permanents, enumeration statistics."""
+"""Brute-force oracles: Glynn vs Ryser vs naive permanents, enumeration
+statistics."""
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -7,9 +9,10 @@ import pytest
 
 from circperm.budget import Budget
 from circperm.circulant import adjacency_matrix, parse_spec
-from circperm.errors import SizeCapError
+from circperm.errors import CollisionError, SizeCapError
 from circperm.oracle import (brute_hamiltonian, enumerate_legal_covers,
                              enumerate_stats, ryser_permanent)
+from circperm.pipeline import verify
 
 
 def naive_permanent(m):
@@ -23,6 +26,52 @@ def naive_permanent(m):
                 break
         total += prod
     return total
+
+
+def ryser_reference(m):
+    """Ryser's alternating sum over column subsets in Gray-code order, with
+    rows scaled to ints by the lcm of their denominators: the permanent
+    oracle before Glynn's formula replaced it, kept as the reference."""
+    n = len(m)
+    if n == 0:
+        return 1
+    scale = 1
+    rows = []
+    for row in m:
+        d = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
+    cols = [[(i, rows[i][j]) for i in range(n) if rows[i][j] != 0]
+            for j in range(n)]
+    if any(not c for c in cols):
+        return 0
+    w = [0] * n               # row sums over the current column subset
+    zero_count = n
+    prod = 1                  # product of the nonzero w[i]
+    total = 0
+    membership = 0
+    size = 0
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        bit = 1 << j
+        adding = not (membership & bit)
+        membership ^= bit
+        size += 1 if adding else -1
+        for i, a in cols[j]:
+            old = w[i]
+            new = old + a if adding else old - a
+            w[i] = new
+            if old == 0:
+                zero_count -= 1
+            else:
+                prod //= old
+            if new == 0:
+                zero_count += 1
+            else:
+                prod *= new
+        if zero_count == 0:
+            total += prod if (n - size) % 2 == 0 else -prod
+    return total // scale if total % scale == 0 else Fraction(total, scale)
 
 
 def test_ryser_small_knowns():
@@ -59,10 +108,10 @@ _entry = st.one_of(st.integers(-3, 3),
 
 @st.composite
 def mixed_matrices(draw):
-    """Square matrices of dimension 0..7 whose rows mix ints and Fractions
+    """Square matrices of dimension 0..8 whose rows mix ints and Fractions
     of different denominators, negatives included; half of them get a zero
     row or a zero column."""
-    n = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 8))
     m = [draw(st.lists(_entry, min_size=n, max_size=n)) for _ in range(n)]
     if n and draw(st.booleans()):
         k = draw(st.integers(0, n - 1))
@@ -79,9 +128,12 @@ def mixed_matrices(draw):
 @hypothesis.example([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]])
 @hypothesis.example([[Fraction(1, 2), Fraction(1, 2)], [1, 1]])     # integral
 @hypothesis.example([[Fraction(2, 3), Fraction(1, 2)], [3, Fraction(-1, 4)]])
+@hypothesis.example([[Fraction(-5, 3)]])                # dim 1: no flip
+@hypothesis.example([[4]])
+@hypothesis.example([[1, -1, 0], [1, 1, 1], [1, 0, -1]])  # a column sum vanishes
 def test_ryser_matches_naive_on_mixed_rows(m):
     got, want = ryser_permanent(m), naive_permanent(m)
-    assert got == want
+    assert got == want == ryser_reference(m)
     if Fraction(want).denominator == 1:
         assert type(got) is int
     else:
@@ -142,6 +194,28 @@ def test_oracles_agree(jumps):
     for n in range(4, 11):
         assert (ryser_permanent(adjacency_matrix(spec, n))
                 == enumerate_stats(spec, n).count)
+
+
+def test_glynn_with_vanishing_column_sums_matches_enumeration():
+    # with three 0/1 jumps a column sum is odd at every sign vector; with
+    # four it vanishes at many, which walks the zero-count branch
+    spec = parse_spec("0,1,2,4")
+    checked = []
+    for n in range(1, 17):
+        try:
+            m = adjacency_matrix(spec, n)
+        except CollisionError:
+            continue
+        assert ryser_permanent(m) == enumerate_stats(spec, n).count, n
+        checked.append(n)
+    assert checked == list(range(5, 17))
+
+
+def test_weighted_ryser_matches_the_derived_recurrence():
+    entries = verify(parse_spec("0,1,3", weights="1/2,3,-1"), 14)
+    assert [e.n for e in entries] == list(range(6, 15))
+    assert all(e.ryser_value == e.recurrence_value for e in entries)
+    assert any(type(e.ryser_value) is Fraction for e in entries)
 
 
 def test_legal_cover_enumeration_counts():
