@@ -15,7 +15,7 @@ from .classify import Classification, classify, completes, enumerate_classificat
 from .errors import (AnnihilationError, BlockStructureError, CircPermError,
                      CollisionError, InconsistencyError, NoRecurrenceError,
                      SizeCapError, SpecSyntaxError, StateBudgetError)
-from .extensions import (HamiltonianResult, MomentsResult, PairingState,
+from .extensions import (HamiltonianResult, MomentsResult, Pairing,
                          hamiltonian_derive, moments_derive, moments_ratio)
 from .lattice import BoundarySets, Decomposition, SymEdge, SymVertex, decompose
 from .oracle import (CoverStats, brute_hamiltonian, enumerate_stats,

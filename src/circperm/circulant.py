@@ -80,19 +80,23 @@ class CirculantSpec:
     def jump_values(self, n: int) -> list[int]:
         return [p * n + s for p, s in self.jumps]
 
+    def jump_text(self) -> str:
+        """The jumps in the CLI grammar: "0,n,2n-1"."""
+        return ",".join(_linear_text("" if p == 1 else str(p), s) if p else str(s)
+                        for p, s in self.jumps)
+
+    def size_text(self) -> str:
+        """The size law in the CLI grammar, coefficient always shown: "3n+1"."""
+        return _linear_text(str(self.size_coeff), self.size_offset)
+
     def describe(self) -> str:
-        terms = []
-        for p, s in self.jumps:
-            if p == 0:
-                terms.append(str(s))
-            else:
-                coeff = "" if p == 1 else str(p)
-                tail = "" if s == 0 else f"{s:+d}"
-                terms.append(f"{coeff}n{tail}")
         if self.constant:
-            return "C_n^{%s}" % ",".join(terms)
-        tail = "" if self.size_offset == 0 else f"{self.size_offset:+d}"
-        return "C_{%dn%s}^{%s}" % (self.size_coeff, tail, ",".join(terms))
+            return "C_n^{%s}" % self.jump_text()
+        return "C_{%s}^{%s}" % (self.size_text(), self.jump_text())
+
+
+def _linear_text(coeff: str, offset: int) -> str:
+    return f"{coeff}n{offset:+d}" if offset else f"{coeff}n"
 
 
 def parse_spec(text: str, size: Optional[str] = None,

@@ -3,12 +3,12 @@ Hamiltonian-cycle counts for constant-jump circulants with raw jumps.
 
 These quantities are not invariant under cyclic jump shifts (C^0 has one
 cycle cover with n cycles, its shift C^1 has one with a single cycle), so
-the jumps are taken as given, negative values included.  Boundary profiles
-follow the signed four-tuple form: in-degree bits over L+ and R-, out-degree
-bits over L- and R+.
+the jumps are taken as given, negative values included.
 
-The classification alone cannot count cycles; each state additionally
-carries the start<->end pairing of its open paths.  `SignedModel.walk`
+The classification alone cannot count cycles, so a state is the start->end
+pairing of its open paths.  Starts are the in-degree-0 window slots (L+ and
+R-), ends the out-degree-0 ones (L- and R+), so every window vertex's degree
+bit is whether its slot appears in the pairing.  `SignedModel.walk`
 expands and completes each reachable state once, and each derivation
 compiles the result into one sparse integer transfer for `transfer.iterate`,
 the loop `derive` uses too.  Moments index by (state, j), holding m_j = sum
@@ -34,33 +34,9 @@ from .oracle import enumerate_legal_covers
 from .transfer import iterate
 
 Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
+# A pairing-transfer state: its open paths as (start slot, end slot).  An
+# isolated window vertex is a zero-length path pairing its own two slots.
 Pairing = frozenset[tuple[Slot, Slot]]
-
-
-@dataclass(frozen=True)
-class PairingState:
-    """Signed boundary profile plus the open-path start->end pairing.
-
-    Starts are the in-degree-0 slots (Lp/Rm zeros), ends the out-degree-0
-    slots (Lm/Rp zeros); an isolated boundary vertex is a zero-length path
-    pairing its own two slots.
-    """
-
-    lp: tuple[int, ...]   # in-degree bits of 0..s_plus-1
-    lm: tuple[int, ...]   # out-degree bits of 0..s_minus-1
-    rp: tuple[int, ...]   # out-degree bits of n-1-j, j < s_plus
-    rm: tuple[int, ...]   # in-degree bits of n-1-j, j < s_minus
-    pairing: Pairing
-
-    def check(self):
-        starts = {s for s, _ in self.pairing}
-        ends = {e for _, e in self.pairing}
-        want_starts = ({("Lp", i) for i, b in enumerate(self.lp) if b == 0}
-                       | {("Rm", j) for j, b in enumerate(self.rm) if b == 0})
-        want_ends = ({("Lm", i) for i, b in enumerate(self.lm) if b == 0}
-                     | {("Rp", j) for j, b in enumerate(self.rp) if b == 0})
-        if starts != want_starts or ends != want_ends or len(self.pairing) != len(starts):
-            raise InconsistencyError(f"inconsistent pairing state {self}")
 
 
 class SignedModel:
@@ -97,7 +73,7 @@ class SignedModel:
 
     # -- extension ---------------------------------------------------------
 
-    def transitions(self, state: PairingState) -> Iterator[tuple[PairingState, int]]:
+    def transitions(self, state: Pairing) -> Iterator[tuple[Pairing, int]]:
         """All legal one-column extensions as (new state, cycles closed)."""
         for in_t in [None] + self.in_jumps:
             for out_t in [None] + self.out_jumps:
@@ -107,15 +83,15 @@ class SignedModel:
                 if res is not None:
                     yield res
 
-    def walk(self, seeds: Iterable[PairingState], max_states: int, what: str):
+    def walk(self, seeds: Iterable[Pairing], max_states: int, what: str):
         """Number the states reachable from `seeds`, seeds first, expanding
         and completing each once: (state -> number, every extension as
         (src, dst, cycles closed), each state's `completion_orbit_counts`).
         Raises StateBudgetError(`what`) on finding state max_states + 1."""
-        index: dict[PairingState, int] = {}
-        states: list[PairingState] = []
+        index: dict[Pairing, int] = {}
+        states: list[Pairing] = []
 
-        def number(st: PairingState) -> int:
+        def number(st: Pairing) -> int:
             i = index.get(st)
             if i is None:
                 if len(states) >= max_states:
@@ -135,27 +111,27 @@ class SignedModel:
                       for st2, closed in self.transitions(st)]
         return index, edges, completions
 
-    def _apply(self, state: PairingState, in_t, out_t):
+    def _apply(self, state: Pairing, in_t, out_t):
         sp, sm = self.s_plus, self.s_minus
-        if in_t is not None and in_t >= 1 and state.rp[in_t - 1] != 0:
+        paths = dict(state)                   # start -> end
+        end_of = {e: s for s, e in paths.items()}
+        # a hook target must still lack that degree: Rp an end, Rm a start
+        if in_t is not None and in_t >= 1 and ("Rp", in_t - 1) not in end_of:
             return None
-        if out_t is not None and state.rm[-out_t - 1] != 0:
+        if out_t is not None and ("Rm", -out_t - 1) not in paths:
             return None
-        indeg_n = 1 if in_t is not None else 0
-        outdeg_n = (1 if out_t is not None else 0) + (1 if in_t == 0 else 0)
-        if sm == 0 and indeg_n != 1:
+        # with no right window to finish it later, a degree of n is final now
+        if sm == 0 and in_t is None:                              # in-degree
             return None
-        if sp == 0 and outdeg_n != 1:
+        if sp == 0 and (out_t is not None) + (in_t == 0) != 1:    # out-degree
             return None
         # vertices leaving the right windows must be degree-complete
-        if sp >= 1 and state.rp[sp - 1] + (1 if in_t == sp else 0) != 1:
+        if sp >= 1 and ("Rp", sp - 1) in end_of and in_t != sp:
             return None
-        if sm >= 1 and state.rm[sm - 1] + (1 if out_t == -sm else 0) != 1:
+        if sm >= 1 and ("Rm", sm - 1) in paths and out_t != -sm:
             return None
 
         closed = 0
-        paths = dict(state.pairing)          # start -> end
-        end_of = {e: s for s, e in paths.items()}
         NEW_END, NEW_START = ("new", 0), ("new", 1)
         if in_t == 0:
             closed = 1                        # self-loop at the new vertex
@@ -186,25 +162,14 @@ class SignedModel:
                 return ("Rp", 0) if slot == NEW_END else ("Rm", 0)
             return slot
 
-        pairing = frozenset((shift(s), shift(e)) for s, e in paths.items())
-        rp = (outdeg_n,) + tuple(state.rp[j] + (1 if in_t == j + 1 else 0)
-                                 for j in range(sp - 1))
-        rm = (indeg_n,) + tuple(state.rm[j] + (1 if out_t == -(j + 1) else 0)
-                                for j in range(sm - 1))
-        if sp == 0:
-            rp = ()
-        if sm == 0:
-            rm = ()
-        new_state = PairingState(state.lp, state.lm, rp, rm, pairing)
-        new_state.check()
-        return new_state, closed
+        return frozenset((shift(s), shift(e)) for s, e in paths.items()), closed
 
     # -- completion --------------------------------------------------------
 
-    def completion_orbit_counts(self, state: PairingState) -> list[int]:
+    def completion_orbit_counts(self, state: Pairing) -> list[int]:
         """Orbit counts of every way to glue the open paths shut with Hook
         edges (one list entry per valid Hook subset)."""
-        pairs = sorted(state.pairing)
+        pairs = sorted(state)
         ends = [e for _, e in pairs]
         start_index = {s: i for i, (s, _) in enumerate(pairs)}
         results: list[int] = []
@@ -238,8 +203,8 @@ class SignedModel:
     # -- initialization ----------------------------------------------------
 
     def initial_covers(self):
-        """Legal covers of the base lattice with their state, pairing and
-        closed-cycle count, by exhaustive enumeration."""
+        """Legal covers of the base lattice as (pairing, closed-cycle count),
+        by exhaustive enumeration."""
         n = self.n0
         verts = list(range(n))
         edges = [(i, i + t, t) for i in verts for t in self.jumps
@@ -272,13 +237,7 @@ class SignedModel:
                     while w not in visited:
                         visited.add(w)
                         w = nxt[w]
-            lp = tuple(min(indeg[v], 1) for v in range(self.s_plus))
-            lm = tuple(1 if v in nxt else 0 for v in range(self.s_minus))
-            rp = tuple(1 if (n - 1 - j) in nxt else 0 for j in range(self.s_plus))
-            rm = tuple(min(indeg[n - 1 - j], 1) for j in range(self.s_minus))
-            state = PairingState(lp, lm, rp, rm, frozenset(pairing))
-            state.check()
-            yield state, closed
+            yield frozenset(pairing), closed
 
     def _start_slot(self, v: int, n: int) -> Slot:
         if v < self.s_plus:
@@ -318,9 +277,6 @@ class MomentsResult:
     state_count: int
     terms: dict[int, list[int]]       # order i -> TC_i(n0), TC_i(n0+1), ...
     recurrences: dict[int, Recurrence]
-
-    def recurrence(self, i: Optional[int] = None) -> Recurrence:
-        return self.recurrences[self.i_max if i is None else i]
 
 
 def moments_derive(spec: CirculantSpec, i_max: int,
@@ -398,13 +354,12 @@ def hamiltonian_derive(spec: CirculantSpec,
     for state, closed in covers:
         if closed == 0:
             start[index[state]] += 1
-        elif closed == 1 and not state.pairing and all(
-                all(b == 1 for b in bits) for bits in (state.lp, state.lm, state.rp, state.rm)):
+        elif closed == 1 and not state:   # no open path: all degrees complete
             start[sink] += 1
     # a step that closes a cycle keeps a tour only if no open path is left
     rows = _pull_rows(((dst if closed == 0 else sink, src, 1)
                        for src, dst, closed in edges
-                       if closed == 0 or not states[dst].pairing), sink + 1)
+                       if closed == 0 or not states[dst]), sink + 1)
     tours = [sum(1 for o in orbits if o == 1) for orbits in completions] + [1]
     at_sink = [0] * sink + [1]
 

@@ -12,7 +12,8 @@ from .algebra import (GrowthEstimate, Polynomial, Recurrence,
                       growth, min_recurrence)
 from .budget import Budget, default_budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize
-from .errors import AnnihilationError, CollisionError, SizeCapError
+from .errors import (AnnihilationError, CollisionError, InconsistencyError,
+                     SizeCapError)
 from .lattice import decompose
 from .oracle import enumerate_stats, ryser_permanent
 from .transfer import TransferSystem, build_transfer_system, sequence
@@ -105,6 +106,10 @@ def verify(spec: CirculantSpec, n_max: int,
     shift = result.normalized.trace.index_shift
     entries: list[VerificationEntry] = []
     n_start = max(result.n0 - shift, 1 if spec.size(0) <= 0 else 0)
+    if n_max < n_start:
+        raise InconsistencyError(
+            f"nothing to verify up to n={n_max}: the first verifiable index "
+            f"is n={n_start}")
     for n in range(n_start, n_max + 1):
         size = spec.size(n)
         if size > budget.ryser_max_dim:

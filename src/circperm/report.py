@@ -45,17 +45,9 @@ def spec_dict(spec: CirculantSpec) -> dict:
 
 def spec_strings(spec: CirculantSpec) -> dict:
     """Round-trippable jump/size/weights strings in the CLI grammar."""
-    terms = []
-    for p, s in spec.jumps:
-        if p == 0:
-            terms.append(str(s))
-        else:
-            coeff = "" if p == 1 else str(p)
-            terms.append(f"{coeff}n{s:+d}" if s else f"{coeff}n")
-    out = {"jumps": ",".join(terms)}
+    out = {"jumps": spec.jump_text()}
     if not spec.constant:
-        s = spec.size_offset
-        out["size"] = f"{spec.size_coeff}n{s:+d}" if s else f"{spec.size_coeff}n"
+        out["size"] = spec.size_text()
     if spec.weights is not None:
         out["weights"] = ",".join(num_str(w) for w in spec.weights)
     return out

@@ -180,8 +180,13 @@ def test_eval_below_the_base_is_the_ryser_permanent(capsys):
     (["moments", "--jumps", "-1,0,1", "--ratio-at", "0"], None),
     (["verify", "--jumps", "0,1,2", "--n-max", "8"], "abc"),
     (["verify", "--jumps", "0,1,2", "--n-max", "8", "--budget-bits", "0"], None),
+    # below the transfer base there is nothing to verify; no budget is involved
+    (["verify", "--jumps", "0,1,5", "--n-max", "9"], None),
+    (["verify", "--jumps", "0,1,5", "--n-max", "-1"], None),
+    (["verify", "--jumps", "0,1,2", "--n-max", "3"], None),
 ], ids=["moment-order-negative", "ratio-at-zero", "budget-env-not-int",
-        "budget-bits-zero"])
+        "budget-bits-zero", "verify-below-base", "verify-n-max-negative",
+        "verify-n-max-just-below-base"])
 def test_bad_argument_exits_3_with_one_line(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("CIRCPERM_BUDGET", env)

@@ -8,9 +8,8 @@ from circperm.algebra import eval_recurrence
 from circperm.budget import Budget
 from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError, StateBudgetError
-from circperm.extensions import (PairingState, SignedModel, _shift_coeff,
-                                 hamiltonian_derive, moments_derive,
-                                 moments_ratio)
+from circperm.extensions import (SignedModel, _shift_coeff, hamiltonian_derive,
+                                 moments_derive, moments_ratio)
 from circperm.oracle import brute_hamiltonian, enumerate_stats
 from circperm.pipeline import derive
 
@@ -123,9 +122,19 @@ def test_pairing_transfer_is_compiled_once(monkeypatch):
     assert len(set(expanded)) == res.state_count
 
 
-def test_pairing_state_consistency_check():
-    with pytest.raises(InconsistencyError):
-        PairingState((0,), (), (1,), (), frozenset()).check()
+@pytest.mark.parametrize("jumps, tours, moments", [
+    ("-1,0,1", (2, 1), (6, 5)),
+    ("-2,0,1", (12, 4), (21, 14)),
+    ("-1,1,2", (12, 5), (21, 11)),
+    ("-3,-1,0", (18, 6), (31, 19)),
+])
+def test_signed_jump_state_counts(jumps, tours, moments):
+    # (state count, recurrence order) with s_minus > 0, so `_apply` also
+    # steps the Rm side of the window
+    ham = hamiltonian_derive(parse_spec(jumps))
+    assert (ham.state_count, ham.recurrence.order) == tours
+    mom = moments_derive(parse_spec(jumps), 1)
+    assert (mom.state_count, mom.recurrences[1].order) == moments
 
 
 @pytest.mark.parametrize("jumps", ["1,2", "0,1,2", "-1,0,1", "-1,2", "-2,1", "2"])

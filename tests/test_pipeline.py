@@ -1,5 +1,8 @@
 """End-to-end derivation results and the oracle verification ledger."""
+import pytest
+
 from circperm.circulant import adjacency_matrix, parse_spec
+from circperm.errors import InconsistencyError
 from circperm.oracle import ryser_permanent
 from circperm.pipeline import derive, verify
 
@@ -57,6 +60,13 @@ def test_verify_skips_degenerate_sizes(derived):
     entries = verify(spec, 10, result=derived("1,2,3"))
     assert all(e.ok for e in entries)
     assert all(e.n >= 4 for e in entries if e.recurrence_value is not None)
+
+
+def test_verify_below_the_base_names_the_first_index(derived):
+    # n0 of {0,1,5} is 10; sizes up to 9 are far below any oracle cap
+    with pytest.raises(InconsistencyError,
+                       match="up to n=9: the first verifiable index is n=10"):
+        verify(parse_spec("0,1,5"), 9, result=derived("0,1,5"))
 
 
 def test_budget_env_override(monkeypatch):
