@@ -9,7 +9,7 @@ cross-validates everything against brute-force oracles.
 """
 from .algebra import (GrowthEstimate, Polynomial, Recurrence, char_poly,
                       eval_recurrence, growth, min_recurrence)
-from .budget import Budget, default_budget
+from .budget import Budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize, parse_spec
 from .classify import Classification, classify, completes, enumerate_classifications, extend
 from .errors import (AnnihilationError, BlockStructureError, CircPermError,

@@ -254,20 +254,31 @@ class Recurrence:
         return f"T(n) = {rhs}"
 
 
-# held-out terms every fit is re-checked on after it is found
-GUARD = 4
+def min_recurrence(terms: Sequence, base: int, bound: int) -> Recurrence:
+    """The minimal exact linear recurrence of a sequence whose order is
+    known to be at most `bound`, from its first 2*bound terms or more.
 
-
-def fit_term_count(degree_cap: int) -> int:
-    """Terms a pipeline generates for a fit up to order `degree_cap`: the
-    2*cap that pin a recurrence down, the guard, and two spare."""
-    return 2 * degree_cap + GUARD + 2
-
-
-def _berlekamp_massey(terms: Sequence) -> tuple[int, list[Fraction]]:
-    """Shortest linear recurrence generating `terms` (Massey 1969), as
-    (order, c) with terms[j] = sum_l c[l-1] * terms[j-l] for j >= order.
-    Exact over the rationals; the order is 0 only for an all-zero input."""
+    One Berlekamp-Massey pass over the rationals (Massey 1969) reads every
+    term in O(N^2) and keeps the shortest recurrence q, of order r, that
+    generates all N terms read so far.  That is a certificate, not a guess,
+    when the sequence obeys some recurrence p of order D <= bound (the
+    annihilator degree, or the transfer dimension by Cayley-Hamilton).
+    The residual R = q(E)T obeys p as well, since shift operators commute.
+    BM makes R vanish at the N - r indices where q fits inside the terms,
+    and with N >= 2*bound and r <= bound those are at least D consecutive
+    ones, so p carries the zeros forward and R = 0 everywhere: q generates
+    the whole sequence.  No recurrence shorter than r generates even the
+    prefix, so r is the sequence's minimal order, and as N >= 2r the
+    minimal recurrence of the prefix is unique.  A sequence of order at
+    most D has r <= D, so 2*bound terms always suffice.  An all-zero
+    sequence gets order 1 with coefficient 0.  Raises InconsistencyError
+    on fewer than 2*bound terms, and NoRecurrenceError when r exceeds the
+    bound, which a true bound rules out.
+    """
+    terms = [Fraction(t) if not isinstance(t, int) else t for t in terms]
+    if len(terms) < 2 * bound:
+        raise InconsistencyError(
+            f"need at least {2 * bound} terms, got {len(terms)}")
     conn = [Fraction(1)]         # connection polynomial, conn[0] = 1
     prev = [Fraction(1)]         # its value before the last length change
     order, gap, prev_disc = 0, 1, Fraction(1)
@@ -289,34 +300,12 @@ def _berlekamp_massey(terms: Sequence) -> tuple[int, list[Fraction]]:
             gap += 1
         conn = grown
     conn += [Fraction(0)] * (order + 1 - len(conn))
-    return order, [-v for v in conn[1:order + 1]]
-
-
-def min_recurrence(terms: Sequence, base: int, degree_cap: int) -> Recurrence:
-    """Minimal-order exact linear recurrence fitted to `terms`.
-
-    Berlekamp-Massey over the rationals on all but the last GUARD terms
-    finds the shortest recurrence of that fit region in O(N^2); with at
-    least 2*degree_cap terms there it is the unique one of its order.  The
-    result is then re-checked on every term, the held-out guard included.
-    An all-zero sequence gets order 1 with coefficient 0.  Raises
-    NoRecurrenceError when no order <= degree_cap reproduces every term.
-    """
-    terms = [Fraction(t) if not isinstance(t, int) else t for t in terms]
-    if len(terms) < 2 * degree_cap + GUARD:
-        raise InconsistencyError(
-            f"need at least {2 * degree_cap + GUARD} terms, got {len(terms)}")
-    order, coeffs = _berlekamp_massey(terms[:len(terms) - GUARD])
+    coeffs = [-v for v in conn[1:order + 1]]
     if order == 0:
         order, coeffs = 1, [Fraction(0)]
-    # a fit of the first N - guard terms that misses a later term leaves no
-    # recurrence of order <= degree_cap for the whole sequence (Massey's
-    # length bound), so both failures are the same refusal
-    if order > degree_cap or not all(
-            sum(c * terms[j - l] for l, c in enumerate(coeffs, 1)) == terms[j]
-            for j in range(order, len(terms))):
+    if order > bound:
         raise NoRecurrenceError(
-            f"no recurrence of order <= {degree_cap} fits {len(terms)} terms")
+            f"no recurrence of order <= {bound} fits {len(terms)} terms")
     return Recurrence(order, tuple(coeffs), base, tuple(terms[:order]))
 
 

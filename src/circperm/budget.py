@@ -1,12 +1,11 @@
 """Budget caps for the brute-force oracles and augmented state spaces.
 
 Caps are configuration, not constants: exceeding one raises a clean error,
-never a silent truncation.  The env var CIRCPERM_BUDGET overrides the two
-exponential-work caps with a single bit count.
+never a silent truncation.  `Budget.with_bits` resizes the exponential-work
+caps to a single bit count, as the CLI's --budget-bits does.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from .errors import InconsistencyError
@@ -26,15 +25,3 @@ class Budget:
         return replace(self, ryser_max_dim=bits, enum_max_size=bits,
                        pairing_state_cap=1 << min(bits, 24))
 
-
-def default_budget() -> Budget:
-    b = Budget()
-    env = os.environ.get("CIRCPERM_BUDGET")
-    if env:
-        try:
-            bits = int(env)
-        except ValueError:
-            raise InconsistencyError(
-                f"CIRCPERM_BUDGET must be an integer, got {env!r}") from None
-        b = b.with_bits(bits)
-    return b

@@ -11,7 +11,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional
 
-from .budget import Budget, default_budget
+from .budget import Budget
 from .circulant import adjacency_matrix, jump_residues, parse_spec
 from .corpus import run_corpus
 from .errors import (AnnihilationError, BlockStructureError, CollisionError,
@@ -21,7 +21,8 @@ from .extensions import hamiltonian_derive, moments_derive, moments_ratio
 from .oracle import ryser_permanent
 from .pipeline import derive, verify
 from .report import (SCHEMA, derive_report, growth_dict, num_str,
-                     recurrence_dict, render_json, render_table, spec_dict)
+                     recurrence_dict, render_json, render_table, spec_dict,
+                     term_values)
 
 PARSE_ERRORS = (SpecSyntaxError, InconsistencyError, CollisionError)
 BUDGET_ERRORS = (SizeCapError, StateBudgetError)
@@ -42,10 +43,8 @@ def _add_spec_args(p: argparse.ArgumentParser, n_max: bool = False):
 
 
 def _budget(args) -> Budget:
-    b = default_budget()
-    if getattr(args, "budget_bits", None) is not None:
-        b = b.with_bits(args.budget_bits)
-    return b
+    bits = getattr(args, "budget_bits", None)
+    return Budget() if bits is None else Budget().with_bits(bits)
 
 
 def _parse(args):
@@ -114,8 +113,7 @@ def cmd_moments(args) -> int:
             "schema": SCHEMA, "spec": spec_dict(spec), "moment": args.order,
             "n0": res.n0, "pairing_states": res.state_count,
             "recurrence": recurrence_dict(rec),
-            "terms": {"start": res.n0,
-                      "values": [str(t) for t in res.terms[args.order][:16]]},
+            "terms": {"start": res.n0, "values": term_values(rec, 16)},
         }
         if ratio is not None:
             rep["expected_cycles"] = {"n": ratio_n, "value": num_str(ratio),
@@ -124,8 +122,7 @@ def cmd_moments(args) -> int:
     else:
         print(f"spec        {spec.describe()}")
         print(f"TC_{args.order} recurrence  {rec}   (order {rec.order})")
-        shown = ", ".join(str(t) for t in res.terms[args.order][:10])
-        print(f"terms       {shown}  from n = {res.n0}")
+        print(f"terms       {', '.join(term_values(rec, 10))}  from n = {res.n0}")
         if ratio is not None:
             print(f"E[#cycles]  at n = {ratio_n}: {ratio} "
                   f"(= {float(ratio / ratio_n):.6f} * n)")
@@ -140,7 +137,8 @@ def cmd_hamiltonian(args) -> int:
             "schema": SCHEMA, "spec": spec_dict(spec), "n0": res.n0,
             "pairing_states": res.state_count,
             "recurrence": recurrence_dict(res.recurrence),
-            "terms": {"start": res.n0, "values": [str(t) for t in res.terms[:16]]},
+            "terms": {"start": res.n0,
+                      "values": term_values(res.recurrence, 16)},
         }
         if res.lattice_cycle_events:
             rep["lattice_hamiltonian_events"] = res.lattice_cycle_events
@@ -148,7 +146,8 @@ def cmd_hamiltonian(args) -> int:
     else:
         print(f"spec        {spec.describe()}")
         print(f"HC recurrence  {res.recurrence}   (order {res.recurrence.order})")
-        print(f"terms       {', '.join(map(str, res.terms[:12]))}  from n = {res.n0}")
+        print(f"terms       {', '.join(term_values(res.recurrence, 12))}  "
+              f"from n = {res.n0}")
         if res.lattice_cycle_events:
             print(f"note: lattice-Hamiltonian events at {res.lattice_cycle_events}")
     return 0

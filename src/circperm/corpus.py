@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import eval_recurrence
-from .budget import Budget, default_budget
+from .budget import Budget
 from .circulant import CirculantSpec, parse_spec
 from .errors import BlockStructureError, SizeCapError
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
@@ -184,13 +184,11 @@ def check_table1(get=None) -> list[Check]:
 
 
 def _ledger(label: str, spec: CirculantSpec, n_max: int,
-            budget: Optional[Budget],
-            res: DeriveResult) -> tuple[bool, int, str]:
+            budget: Budget, res: DeriveResult) -> tuple[bool, int, str]:
     """(ok, sizes checked, detail) of `verify` up to n_max: the detail
     names the first mismatch.  A size within n_max past the Ryser cap is
     refused, as the oracle would refuse it; a refusal names the check, the
     spec and, where there is one, the n."""
-    budget = budget or default_budget()
     where = f"{label} ({spec.describe()})"
     try:
         entries = verify(spec, n_max, budget, res)
@@ -210,7 +208,7 @@ def _ledger(label: str, spec: CirculantSpec, n_max: int,
     return True, len(checked), ""
 
 
-def check_oracle_equivalence(budget: Optional[Budget] = None, get=None,
+def check_oracle_equivalence(budget: Budget = Budget(), get=None,
                              size_cap: int = 20) -> list[Check]:
     """Recurrence vs Ryser vs enumeration, every corpus spec, sizes <= cap."""
     get = get or _derive_cached()
@@ -258,9 +256,8 @@ def check_growth(get=None, tol: float = 1e-6) -> list[Check]:
     return out
 
 
-def check_table2(budget: Optional[Budget] = None,
+def check_table2(budget: Budget = Budget(),
                  enum_n_max: int = 12) -> list[Check]:
-    budget = budget or default_budget()
     out: list[Check] = []
     for row in TABLE2:
         spec = parse_spec(row["jumps"])
@@ -270,15 +267,16 @@ def check_table2(budget: Optional[Budget] = None,
               and [Fraction(c) for c in row["coeffs"]] == list(rec.coeffs))
         out.append((f"{row['name']} recurrence", ok,
                     f"order {rec.order}, coeffs {[str(c) for c in rec.coeffs]}"))
-        vals = {n: res.terms[1][n - res.n0] for n in row["terms"]}
+        vals = {n: eval_recurrence(rec, n) for n in row["terms"]}
         out.append((f"{row['name']} terms", vals == row["terms"], f"{vals}"))
         ok, detail = True, ""
         for n in range(res.n0, enum_n_max + 1):
             if spec.size(n) > budget.enum_max_size:
                 break
             st = enumerate_stats(spec, n, 1, budget)
-            if (st.count, st.moment_sums[1]) != (res.terms[0][n - res.n0],
-                                                 res.terms[1][n - res.n0]):
+            if (st.count, st.moment_sums[1]) != (
+                    eval_recurrence(res.recurrences[0], n),
+                    eval_recurrence(rec, n)):
                 ok, detail = False, f"mismatch at n={n}"
                 break
         out.append((f"{row['name']} vs enumeration", ok, detail or f"n <= {n}"))
@@ -313,25 +311,27 @@ def check_shift_pairs(get=None) -> list[Check]:
     return out
 
 
-def check_hamiltonian(budget: Optional[Budget] = None) -> list[Check]:
-    budget = budget or default_budget()
+def check_hamiltonian(budget: Budget = Budget()) -> list[Check]:
     out: list[Check] = []
     for jumps in HAMILTONIAN_SPECS:
         spec = parse_spec(jumps)
         res = hamiltonian_derive(spec, budget)
         ok, detail = True, ""
         for n in range(4, 13):
+            got = eval_recurrence(res.recurrence, n)
             b = brute_hamiltonian(spec, n, budget)
-            if res.terms[n - res.n0] != b:
-                ok, detail = False, f"n={n}: derived {res.terms[n - res.n0]} brute {b}"
+            if got != b:
+                ok, detail = False, f"n={n}: derived {got} brute {b}"
                 break
         out.append((f"HC({jumps}) = brute force, n = 4..12", ok, detail))
         ok = all(eval_recurrence(res.recurrence, n)
                  == brute_hamiltonian(spec, n, budget) for n in (13, 14, 15))
         out.append((f"HC({jumps}) recurrence extrapolates to n = 13..15", ok, ""))
+    a, b = (hamiltonian_derive(parse_spec(j), budget).recurrence
+            for j in ("0,1,2", "1,2"))
     out.append(("HC(0,1,2) equals HC(1,2) for n = 4..16",
-                hamiltonian_derive(parse_spec("0,1,2"), budget).terms[:13]
-                == hamiltonian_derive(parse_spec("1,2"), budget).terms[:13], ""))
+                all(eval_recurrence(a, n) == eval_recurrence(b, n)
+                    for n in range(4, 17)), ""))
     return out
 
 
@@ -349,7 +349,7 @@ def check_weighted(get=None) -> list[Check]:
     unit = get(case["jumps"], None, "1,1,1")
     ok = (plain.recurrence.order == unit.recurrence.order
           and list(map(Fraction, plain.recurrence.coeffs)) == list(unit.recurrence.coeffs)
-          and [int(t) for t in unit.terms] == list(plain.terms)
+          and unit.recurrence.initials == plain.recurrence.initials
           and [[int(v) for v in row] for row in unit.system.a_bar] == plain.system.a_bar
           and [int(v) for v in unit.system.beta] == plain.system.beta
           and [int(v) for v in unit.system.t0] == plain.system.t0)
@@ -357,7 +357,7 @@ def check_weighted(get=None) -> list[Check]:
     return out
 
 
-def run_corpus(budget: Optional[Budget] = None) -> tuple[list[Check], bool]:
+def run_corpus(budget: Budget = Budget()) -> tuple[list[Check], bool]:
     """Replay every pinned value; returns (checks, all_ok)."""
     get = _derive_cached()
     checks: list[Check] = []

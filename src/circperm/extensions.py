@@ -24,9 +24,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .algebra import (Recurrence, eval_recurrence, fit_term_count,
-                      min_recurrence)
-from .budget import Budget, default_budget
+from .algebra import Recurrence, eval_recurrence, min_recurrence
+from .budget import Budget
 from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
 from .lattice import decompose
@@ -275,17 +274,15 @@ class MomentsResult:
     i_max: int
     n0: int
     state_count: int
-    terms: dict[int, list[int]]       # order i -> TC_i(n0), TC_i(n0+1), ...
-    recurrences: dict[int, Recurrence]
+    recurrences: dict[int, Recurrence]    # order i -> recurrence of TC_i
 
 
 def moments_derive(spec: CirculantSpec, i_max: int,
-                   budget: Optional[Budget] = None) -> MomentsResult:
+                   budget: Budget = Budget()) -> MomentsResult:
     """Recurrences for the cycle-count moments TC_0..TC_i of a raw
     constant-jump spec, via the pairing-augmented transfer."""
     if i_max < 0:
         raise InconsistencyError(f"moment order must be >= 0, got {i_max}")
-    budget = budget or default_budget()
     model = SignedModel(spec, "cycle moments")
     covers = list(model.initial_covers())
     k = i_max + 1
@@ -305,13 +302,13 @@ def moments_derive(spec: CirculantSpec, i_max: int,
                 for orbits in completions for j in range(k)]
                for i in range(k)]
 
-    terms = dict(enumerate(iterate(rows, start, outputs, fit_term_count(dim))))
+    terms = iterate(rows, start, outputs, 2 * dim)
     recs = {i: min_recurrence(terms[i], model.n0, dim) for i in range(k)}
-    return MomentsResult(spec, i_max, model.n0, len(index), terms, recs)
+    return MomentsResult(spec, i_max, model.n0, len(index), recs)
 
 
 def moments_ratio(spec: CirculantSpec, n: int,
-                  budget: Optional[Budget] = None,
+                  budget: Budget = Budget(),
                   result: Optional[MomentsResult] = None) -> Fraction:
     """Exact expected cycle count TC_1(n)/TC_0(n) of a uniformly random
     restricted permutation."""
@@ -329,18 +326,16 @@ class HamiltonianResult:
     spec: CirculantSpec
     n0: int
     state_count: int
-    terms: list[int]
     recurrence: Recurrence
     lattice_cycle_events: list[tuple[int, int]] = field(default_factory=list)
     # (n, count) whenever a cover became a Hamiltonian cycle of L_n itself
 
 
 def hamiltonian_derive(spec: CirculantSpec,
-                       budget: Optional[Budget] = None) -> HamiltonianResult:
+                       budget: Budget = Budget()) -> HamiltonianResult:
     """Recurrence for the number of Hamiltonian cycles, via the cycle-free
     (legal tour) pairing transfer; acceptance requires the hook gluing to
     form a single orbit covering every path."""
-    budget = budget or default_budget()
     model = SignedModel(spec, "Hamiltonian cycle counts")
     covers = list(model.initial_covers())
     index, edges, completions = model.walk(
@@ -363,8 +358,7 @@ def hamiltonian_derive(spec: CirculantSpec,
     tours = [sum(1 for o in orbits if o == 1) for orbits in completions] + [1]
     at_sink = [0] * sink + [1]
 
-    cap = sink + 1
-    terms, sunk = iterate(rows, start, [tours, at_sink], fit_term_count(cap))
+    terms, sunk = iterate(rows, start, [tours, at_sink], 2 * (sink + 1))
     events = [(n, c) for n, c in enumerate(sunk, start=model.n0) if c]
-    rec = min_recurrence(terms, model.n0, cap)
-    return HamiltonianResult(spec, model.n0, sink, terms, rec, events)
+    rec = min_recurrence(terms, model.n0, sink + 1)
+    return HamiltonianResult(spec, model.n0, sink, rec, events)

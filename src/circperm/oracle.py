@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterator, Optional, Sequence
 
-from .budget import Budget, default_budget
+from .budget import Budget
 from .circulant import CirculantSpec, jump_residues
 from .errors import SizeCapError
 
@@ -98,10 +98,9 @@ class CoverStats:
 
 
 def enumerate_stats(spec: CirculantSpec, n: int, i_max: int = 0,
-                    budget: Optional[Budget] = None) -> CoverStats:
+                    budget: Budget = Budget()) -> CoverStats:
     """Backtracking enumeration of all cycle covers of C at index n, with
     per-cover cycle counts from the permutation's orbit structure."""
-    budget = budget or default_budget()
     size = spec.size(n)
     if size > budget.enum_max_size:
         raise SizeCapError(f"enumeration size {size} exceeds cap {budget.enum_max_size}")
@@ -153,7 +152,7 @@ def enumerate_stats(spec: CirculantSpec, n: int, i_max: int = 0,
 
 
 def brute_hamiltonian(spec: CirculantSpec, n: int,
-                      budget: Optional[Budget] = None) -> int:
+                      budget: Budget = Budget()) -> int:
     """Number of single-orbit cycle covers (Hamiltonian cycles)."""
     return enumerate_stats(spec, n, 0, budget).hamiltonian_count
 

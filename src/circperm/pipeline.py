@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (GrowthEstimate, Polynomial, Recurrence,
-                      annihilator_from_blocks, eval_recurrence, fit_term_count,
-                      growth, min_recurrence)
-from .budget import Budget, default_budget
+                      annihilator_from_blocks, eval_recurrence, growth,
+                      min_recurrence)
+from .budget import Budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize
 from .errors import (AnnihilationError, CollisionError, InconsistencyError,
                      SizeCapError)
@@ -26,7 +26,6 @@ class DeriveResult:
     system: TransferSystem
     annihilator: Polynomial
     recurrence: Recurrence
-    terms: list          # T(n0), T(n0+1), ... in the normalized index
     growth: GrowthEstimate
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -35,10 +34,7 @@ class DeriveResult:
         return self.system.n0
 
     def term(self, n_normalized: int):
-        """Exact T at a normalized index, from stored terms or the recurrence."""
-        i = n_normalized - self.n0
-        if 0 <= i < len(self.terms):
-            return self.terms[i]
+        """Exact T at a normalized index, from the recurrence."""
         return eval_recurrence(self.recurrence, n_normalized)
 
     def raw_term(self, n_raw: int):
@@ -72,7 +68,7 @@ def derive(spec: CirculantSpec) -> DeriveResult:
 
     cap = max(ann.degree, 1)
     t = time.perf_counter()
-    terms = sequence(system, system.n0 + fit_term_count(cap) - 1)
+    terms = sequence(system, system.n0 + 2 * cap - 1)
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -82,7 +78,7 @@ def derive(spec: CirculantSpec) -> DeriveResult:
     t = time.perf_counter()
     gro = growth(rec)
     timings["growth"] = time.perf_counter() - t
-    return DeriveResult(spec, norm, system, ann, rec, terms, gro, timings)
+    return DeriveResult(spec, norm, system, ann, rec, gro, timings)
 
 
 @dataclass
@@ -97,11 +93,10 @@ class VerificationEntry:
 
 
 def verify(spec: CirculantSpec, n_max: int,
-           budget: Optional[Budget] = None,
+           budget: Budget = Budget(),
            result: Optional[DeriveResult] = None) -> list[VerificationEntry]:
     """Compare recurrence values against both oracles for every raw n up to
     n_max that fits the budget; entries record both values either way."""
-    budget = budget or default_budget()
     result = result or derive(spec)
     shift = result.normalized.trace.index_shift
     entries: list[VerificationEntry] = []

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebra import GrowthEstimate, Recurrence
+from .algebra import GrowthEstimate, Recurrence, eval_recurrence
 from .circulant import CirculantSpec
 from .pipeline import DeriveResult, VerificationEntry
 
@@ -63,6 +63,12 @@ def recurrence_dict(rec: Recurrence) -> dict:
     }
 
 
+def term_values(rec: Recurrence, count: int) -> list[str]:
+    """T(base), ..., T(base + count - 1), read from the recurrence."""
+    return [num_str(eval_recurrence(rec, n))
+            for n in range(rec.base, rec.base + count)]
+
+
 def growth_dict(g: GrowthEstimate) -> dict:
     return {
         "dominant_root": None if g.dominant_root is None else f"{g.dominant_root:.10f}",
@@ -93,7 +99,7 @@ def derive_report(result: DeriveResult,
         },
         "recurrence": recurrence_dict(result.recurrence),
         "terms": {"start": result.n0,
-                  "values": [num_str(t) for t in result.terms[:terms_shown]]},
+                  "values": term_values(result.recurrence, terms_shown)},
         "growth": growth_dict(result.growth),
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }

@@ -56,28 +56,6 @@ class TransferSystem:
         """Copies of A-bar on the diagonal of the full A."""
         return 1 << self.w
 
-    def debug_dump(self) -> dict:
-        """JSON-ready dump: matrices as row-major decimal-string arrays,
-        classifications as packed keys plus bit strings."""
-
-        def s(v):
-            return (str(v) if not isinstance(v, Fraction) or v.denominator == 1
-                    else f"{v.numerator}/{v.denominator}")
-
-        classes = [self.ordering.at(i) for i in range(len(self.beta))]
-        return {
-            "n0": self.n0,
-            "slot_width": self.w,
-            "multiplicity": self.multiplicity,
-            "classifications": [
-                {"position": i, "key": c.key, "bits": c.bit_string()}
-                for i, c in enumerate(classes)],
-            "a_bar": [s(v) for row in self.a_bar for v in row],
-            "blocks": [[s(v) for row in b for v in row] for b in self.blocks],
-            "beta": [s(v) for v in self.beta],
-            "t0": [s(v) for v in self.t0],
-        }
-
 
 def verify_block_structure(ordering: ClassOrdering, a_bar: list[list]) -> None:
     """Assert that A-bar respects the zero-count groups: every nonzero entry

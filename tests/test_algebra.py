@@ -86,6 +86,14 @@ def test_min_recurrence_guard_rejects_short_fits():
     assert list(rec.coeffs) == [3, -3, 1]
 
 
+def test_min_recurrence_on_exactly_twice_the_bound():
+    fib = [1, 1]
+    while len(fib) < 10:
+        fib.append(fib[-1] + fib[-2])
+    rec = min_recurrence(fib, 0, 5)
+    assert (rec.order, rec.coeffs, rec.initials) == (2, (F(1), F(1)), (1, 1))
+
+
 def test_min_recurrence_all_zero_and_zero_tail():
     rec = min_recurrence([0] * 14, 2, 5)
     assert (rec.order, rec.coeffs, rec.initials) == (1, (F(0),), (0,))

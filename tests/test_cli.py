@@ -1,5 +1,7 @@
 """CLI surface: flags, output formats, exit codes, JSON round-trip."""
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -44,6 +46,28 @@ def test_json_report_round_trips(capsys):
     assert (json.dumps(rep["recurrence"], sort_keys=True)
             == json.dumps(rep2["recurrence"], sort_keys=True))
     assert rep["terms"] == rep2["terms"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--jumps", "0,1,2"],
+    ["hamiltonian", "--jumps", "1,2"],
+])
+def test_json_reports_show_sixteen_terms(capsys, argv):
+    # the terms come from the recurrence, not from what the fit read
+    code, out = run(capsys, *argv, "--out", "json")
+    assert code == 0
+    assert len(json.loads(out)["terms"]["values"]) == 16
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "circperm", "derive", "--jumps", "0,1,2"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "T(n) = 2*T(n-1) -T(n-3)" in proc.stdout
 
 
 def test_eval_exact_large_n(capsys):
@@ -175,21 +199,18 @@ def test_eval_below_the_base_is_the_ryser_permanent(capsys):
                "--n", "3") == (0, "T(3) = 0\n")
 
 
-@pytest.mark.parametrize("argv,env", [
-    (["moments", "--jumps", "-1,0,1", "--order", "-1"], None),
-    (["moments", "--jumps", "-1,0,1", "--ratio-at", "0"], None),
-    (["verify", "--jumps", "0,1,2", "--n-max", "8"], "abc"),
-    (["verify", "--jumps", "0,1,2", "--n-max", "8", "--budget-bits", "0"], None),
+@pytest.mark.parametrize("argv", [
+    ["moments", "--jumps", "-1,0,1", "--order", "-1"],
+    ["moments", "--jumps", "-1,0,1", "--ratio-at", "0"],
+    ["verify", "--jumps", "0,1,2", "--n-max", "8", "--budget-bits", "0"],
     # below the transfer base there is nothing to verify; no budget is involved
-    (["verify", "--jumps", "0,1,5", "--n-max", "9"], None),
-    (["verify", "--jumps", "0,1,5", "--n-max", "-1"], None),
-    (["verify", "--jumps", "0,1,2", "--n-max", "3"], None),
-], ids=["moment-order-negative", "ratio-at-zero", "budget-env-not-int",
-        "budget-bits-zero", "verify-below-base", "verify-n-max-negative",
+    ["verify", "--jumps", "0,1,5", "--n-max", "9"],
+    ["verify", "--jumps", "0,1,5", "--n-max", "-1"],
+    ["verify", "--jumps", "0,1,2", "--n-max", "3"],
+], ids=["moment-order-negative", "ratio-at-zero", "budget-bits-zero",
+        "verify-below-base", "verify-n-max-negative",
         "verify-n-max-just-below-base"])
-def test_bad_argument_exits_3_with_one_line(capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("CIRCPERM_BUDGET", env)
+def test_bad_argument_exits_3_with_one_line(capsys, argv):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -234,7 +255,7 @@ def test_zero_weights_verify_against_ryser(capsys, weights):
 ], ids=["before-subcommand", "after-subcommand"])
 def test_budget_bits_reach_the_budget_from_either_place(capsys, argv):
     args = cli.build_parser().parse_args(argv)
-    assert cli._budget(args) == cli.default_budget().with_bits(3)
+    assert cli._budget(args) == cli.Budget().with_bits(3)
     # 3-bit oracle caps leave verify nothing to check
     assert cli.main(argv) == 2
 

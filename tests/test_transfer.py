@@ -219,15 +219,3 @@ def test_scrambled_ordering_triggers_block_error():
                 bad.right_pos[ordering.rights[j]]] = a_bar[i][j]
     with pytest.raises(BlockStructureError):
         verify_block_structure(bad, scrambled_a_bar)
-
-
-def test_debug_dump_serializes_decimal_strings(sys012):
-    import json
-    dump = sys012.debug_dump()
-    txt = json.dumps(dump)
-    assert json.loads(txt) == dump
-    assert dump["beta"] == [str(v) for v in sys012.beta]
-    assert len(dump["a_bar"]) == 16
-    assert dump["classifications"][0]["bits"] == "00|00"
-    keys = [c["key"] for c in dump["classifications"]]
-    assert len(set(keys)) == len(keys)
