@@ -5,8 +5,8 @@ ints: each block is scaled to an integer matrix, its characteristic
 polynomial is found mod 61-bit primes by Hessenberg reduction, and the
 residues are combined by CRT under a Hadamard bound on the coefficients.
 Annihilation is then checked exactly over ints.  Recurrences are fitted and
-evaluated on rationals (Fraction) or scaled ints.  Floats appear only in
-the dominant-root estimate, which carries an explicit error bound.
+evaluated on rationals (Fraction) or scaled ints, and real roots are
+isolated and bracketed on ints, so no float enters any reported value.
 """
 from __future__ import annotations
 
@@ -368,16 +368,22 @@ def eval_recurrence(rec: Recurrence, n: int):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+# reports print growth constants to this many decimal places, and
+# _real_roots brackets every root until that rounding is certain
+DECIMALS = 10
+
+
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Dominant growth of a recurrence: largest-modulus real characteristic
-    root when it dominates, else the empirical modulus of a non-real pair."""
+    """Dominant growth of a recurrence: its dominant root when a theorem
+    identifies it among the real roots, else a lower bound on the dominant
+    modulus.  Both are exact rationals: a root, or the midpoint of a
+    certified bracket that holds one."""
 
-    dominant_root: Optional[float]
-    modulus: float
+    dominant_root: Optional[Fraction]
+    modulus: Fraction
     error_bound: float
     note: str
-    residual_bound: float
 
 
 def recurrence_char_poly(rec: Recurrence) -> Polynomial:
@@ -443,9 +449,13 @@ def _real_roots(poly: Polynomial, tol: Fraction) -> list[Fraction]:
     is mapped from the Cauchy interval [-B, B] onto (0, 1) and split into
     dyadic halves, 2^d q(x/2) and its Taylor shift by 1, until Descartes'
     count is 0 or 1 on each piece.  A piece with one root is bisected to
-    width <= tol with exact signs (homogeneous Horner at j / 2^k).  The
-    result is certified: every distinct real root is returned exactly once,
-    as the split or bisection point it falls on, or else as the midpoint of
+    width <= tol with exact signs (homogeneous Horner at j / 2^k), and on
+    until no rounding edge (s + 1/2) / 10^DECIMALS lies inside the bracket,
+    so the root's rounding to DECIMALS places is certain.  A root on an
+    edge would keep that going forever, so the one edge inside a narrow
+    bracket is tried as a root of poly, exactly.  The result is
+    certified: every distinct real root is returned exactly once, as the
+    split, bisection or edge point it falls on, or else as the midpoint of
     a bracket no wider than tol that holds it.
     """
     bound = Fraction(1) + max(abs(c) for c in poly.coeffs) / abs(poly.coeffs[-1])
@@ -468,95 +478,69 @@ def _real_roots(poly: Polynomial, tol: Fraction) -> list[Fraction]:
             acc = acc * j + (c << k * i)
         return None if acc == 0 else acc > 0
 
-    found: list[Fraction] = []                 # roots t in (0, 1)
+    def x_at(j: int, k: int) -> Fraction:
+        """The point t = j / 2^k of [0, 1] back on [-B, B]."""
+        return bound * Fraction(2 * j - (1 << k), 1 << k)
+
+    def refine(m: int, k: int, left: bool) -> Fraction:
+        """The one root of q on (m, m + 1) / 2^k, where q is `left`-signed
+        just right of the left end (which may itself be a root)."""
+        cell, half, tried = 10 ** DECIMALS, Fraction(1, 2), None
+        while True:
+            if k >= stop:
+                # the cells of the decimal grid that hold lo from the right
+                # and hi from the left: equal once no edge is inside
+                lo, hi = x_at(m, k), x_at(m + 1, k)
+                below = math.floor(lo * cell + half)
+                above = math.ceil(hi * cell - half)
+                if below == above:
+                    break
+                edge = (below + half) / cell
+                if above == below + 1 and edge != tried:
+                    tried = edge
+                    if poly(edge) == 0:
+                        return edge
+            pos = positive_at(2 * m + 1, k + 1)
+            if pos is None:
+                break
+            m, k = 2 * m + (pos == left), k + 1
+        return x_at(2 * m + 1, k + 1)
+
+    found: list[Fraction] = []
     pieces = [(0, 0, q)]                       # q on [m, m + 1] / 2^k
     while pieces:
         m, k, c = pieces.pop()
         count = _sign_changes(c)
         if count == 1:
-            # the sign just right of the left end, which may itself be a root
-            left = next(v for v in c if v) > 0
-            while k < stop:
-                pos = positive_at(2 * m + 1, k + 1)
-                if pos is None:
-                    break
-                m, k = 2 * m + (pos == left), k + 1
-            found.append(Fraction(2 * m + 1, 2 << k))
+            found.append(refine(m, k, next(v for v in c if v) > 0))
         elif count > 1:
             half = [v << (d - i) for i, v in enumerate(c)]      # 2^d c(x/2)
             if sum(half) == 0:
-                found.append(Fraction(2 * m + 1, 2 << k))
+                found.append(x_at(2 * m + 1, k + 1))
             half = _primitive(half)
             pieces += [(2 * m + 1, k + 1, _taylor_shift(half)), (2 * m, k + 1, half)]
-    return sorted(bound * (2 * t - 1) for t in found)
+    return sorted(found)
 
 
-def _multiplicity(poly: Polynomial, root: Fraction, tol: Fraction) -> int:
-    """Multiplicity of the real root of `poly` that `root` brackets to tol:
-    how many of g_0 = poly, g_k = gcd(g_(k-1), g_(k-1)') share that root."""
-    scale = math.lcm(*(c.denominator for c in poly.coeffs))
-    g = [int(c * scale) for c in poly.coeffs]
-    m = 0
-    while len(g) > 1 and any(abs(r - root) <= 2 * tol
-                             for r in _real_roots(Polynomial.from_list(g), tol)):
-        m += 1
-        g = _gcd(g, [i * c for i, c in enumerate(g)][1:])
-    return m
+def growth(rec: Recurrence, nonneg: bool) -> GrowthEstimate:
+    """Dominant growth of `rec`, the minimal recurrence of a sequence, from
+    the real roots of its characteristic polynomial chi.
 
-
-def _log2_fraction(fr: Fraction) -> float:
-    """log2 of a positive rational whose parts may exceed float range."""
-    num, den = fr.numerator, fr.denominator
-    shift = num.bit_length() - den.bit_length()
-    if shift >= 0:
-        den <<= shift
-    else:
-        num <<= -shift
-    return shift + math.log2(num / den)
-
-
-def growth(rec: Recurrence, tol: float = 1e-9) -> GrowthEstimate:
-    """Dominant growth of `rec` from its characteristic polynomial chi.
-
-    Every real root of chi comes from _real_roots, certified: Descartes-rule
-    isolation finds each one, and bisection brackets it to the smaller of
-    tol / 4 and 1e-11.  The largest-modulus real root is reported when the
-    empirical modulus of far-out term ratios agrees with it to 1e-3;
-    otherwise the dominant roots
-    are taken to be a non-real pair and that empirical modulus is reported.
-    A root of multiplicity m puts a factor n^(m-1) into the terms, so when
-    the first comparison fails the modulus is divided by that factor's share
-    of the ratio, (far / (far - window))^((m-1) / window), and compared
-    again.  The certificate covers the real roots, not that choice.
+    Every real root of chi comes from _real_roots, certified and bracketed
+    to 1e-11 and until its rounding to DECIMALS places is certain.  With
+    `nonneg`, every term is >= 0, so the generating function has a
+    singularity at its radius of convergence (Pringsheim; Flajolet-Sedgewick,
+    Analytic Combinatorics, Thm IV.6).  As chi is minimal, its nonzero
+    roots are exactly the reciprocals of the poles, so the largest positive
+    real root has the largest modulus and is reported as dominant.  Without
+    `nonneg` a non-real pair may dominate: the largest |real root| is then
+    reported as a lower bound on the dominant modulus (0 if chi has no real
+    root), and no dominant root is claimed.
     """
-    poly = recurrence_char_poly(rec)
-    # reports print the root at 10 decimals: a bracket of 1e-11 makes
-    # every printed digit true (unless the root sits on a rounding edge)
-    rtol = min(Fraction(tol) / 4, Fraction(1, 10 ** 11))
-    roots = _real_roots(poly, rtol)
-    best: Optional[Fraction] = None
-    for r in roots:
-        if best is None or abs(r) > abs(best) or (abs(r) == abs(best) and r > best):
-            best = r
-
-    # empirical modulus from far-out term ratios (even window: sign-safe)
-    window, far = 24, 240
-    num = eval_recurrence(rec, rec.base + far)
-    den = eval_recurrence(rec, rec.base + far - window)
-    emp: Optional[float] = None
-    if den != 0 and num != 0:
-        emp = 2.0 ** (_log2_fraction(abs(Fraction(num) / Fraction(den))) / window)
-
-    def agrees(modulus: float) -> bool:
-        return abs(abs(float(best)) - modulus) <= 1e-3 * max(1.0, modulus)
-
-    real = best is not None and (emp is None or agrees(emp))
-    if best is not None and not real:
-        m = _multiplicity(poly, best, rtol)
-        real = m > 1 and agrees(emp / (far / (far - window)) ** ((m - 1) / window))
-    if real:
-        res = max(abs(poly(best - Fraction(tol))), abs(poly(best + Fraction(tol))))
-        return GrowthEstimate(float(best), abs(float(best)), tol,
-                              "largest-modulus real root", float(res))
-    return GrowthEstimate(None, emp if emp is not None else 0.0, 1e-6,
-                          "non-real dominant pair (modulus from term ratios)", 0.0)
+    roots = _real_roots(recurrence_char_poly(rec), Fraction(1, 10 ** 11))
+    best = max(roots, key=lambda r: (abs(r), r), default=Fraction(0))
+    if nonneg:
+        return GrowthEstimate(best, abs(best), 1e-9, "largest-modulus real root")
+    return GrowthEstimate(None, abs(best), 1e-9,
+                          "terms may be negative: largest |real root|, "
+                          "a lower bound on the dominant modulus")

@@ -96,9 +96,9 @@ def cmd_growth(args) -> int:
         print(render_json({"schema": SCHEMA, "spec": spec_dict(result.spec),
                            **growth_dict(g)}))
     elif g.dominant_root is not None:
-        print(f"{g.dominant_root:.9f}")
+        print(f"{float(g.dominant_root):.9f}")
     else:
-        print(f"{g.note}: modulus {g.modulus:.9f}")
+        print(f"{g.note}: modulus {float(g.modulus):.9f}")
     return 0
 
 

@@ -252,7 +252,7 @@ def check_growth(get=None, tol: float = 1e-6) -> list[Check]:
         g = res.growth
         ok = g.dominant_root is not None and abs(g.dominant_root - row["growth"]) < tol
         out.append((f"{row['name']} growth", ok,
-                    f"{g.dominant_root} vs {row['growth']}"))
+                    f"{float(g.modulus)} vs {row['growth']}"))
     return out
 
 

@@ -76,7 +76,8 @@ def derive(spec: CirculantSpec) -> DeriveResult:
     timings["recurrence"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    gro = growth(rec)
+    # nonnegative weights make every term a sum of nonnegative products
+    gro = growth(rec, spec.weights is None or min(spec.weights) >= 0)
     timings["growth"] = time.perf_counter() - t
     return DeriveResult(spec, norm, system, ann, rec, gro, timings)
 

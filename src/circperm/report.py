@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebra import GrowthEstimate, Recurrence, eval_recurrence
+from .algebra import DECIMALS, GrowthEstimate, Recurrence, eval_recurrence
 from .circulant import CirculantSpec
 from .pipeline import DeriveResult, VerificationEntry
 
@@ -69,10 +69,16 @@ def term_values(rec: Recurrence, count: int) -> list[str]:
             for n in range(rec.base, rec.base + count)]
 
 
+def decimal_str(x: Fraction) -> str:
+    """x >= 0 rounded to DECIMALS places, exactly (ties to even)."""
+    whole, frac = divmod(round(x * 10 ** DECIMALS), 10 ** DECIMALS)
+    return f"{whole}.{frac:0{DECIMALS}d}"
+
+
 def growth_dict(g: GrowthEstimate) -> dict:
     return {
-        "dominant_root": None if g.dominant_root is None else f"{g.dominant_root:.10f}",
-        "modulus": f"{g.modulus:.10f}",
+        "dominant_root": None if g.dominant_root is None else decimal_str(g.dominant_root),
+        "modulus": decimal_str(g.modulus),
         "error_bound": g.error_bound,
         "note": g.note,
     }
@@ -136,9 +142,9 @@ def render_table(result: DeriveResult,
     ]
     g = result.growth
     if g.dominant_root is not None:
-        lines.append(f"growth      T(n) ~ phi^n, phi = {g.dominant_root:.9f}")
+        lines.append(f"growth      T(n) ~ phi^n, phi = {float(g.dominant_root):.9f}")
     else:
-        lines.append(f"growth      {g.note}: modulus {g.modulus:.9f}")
+        lines.append(f"growth      {g.note}: modulus {float(g.modulus):.9f}")
     if verification is not None:
         lines.append("verification (recurrence vs Ryser vs enumeration):")
         for e in verification:

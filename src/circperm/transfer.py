@@ -45,7 +45,6 @@ class TransferSystem:
     beta: list                        # length 4^w, canonical order
     t0: list                          # length 4^w, canonical order
     n0: int
-    weighted: bool
 
     @property
     def w(self) -> int:
@@ -188,8 +187,7 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
     beta = build_beta(dec, ordering)
     t0 = build_initial(dec, ordering)
     verify_against_census(dec, ordering, a_bar, t0)
-    return TransferSystem(dec, ordering, a_bar, blocks, beta, t0, dec.n0,
-                          weighted=dec.spec.weights is not None)
+    return TransferSystem(dec, ordering, a_bar, blocks, beta, t0, dec.n0)
 
 
 def iterate(rows: list[list[tuple[int, object]]], start: list,

@@ -8,6 +8,7 @@ import pytest
 
 from circperm import cli
 from circperm.pipeline import VerificationEntry
+from circperm.report import growth_dict
 
 
 def run(capsys, *argv):
@@ -101,6 +102,27 @@ def test_growth_json_prints_true_digits(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["dominant_root"] == rep["modulus"] == "1.6180339887"
+    # the same root phi, 1.05e-13 below the rounding edge 1.61803398875
+    code, out = run(capsys, "growth", "--jumps", "0,3,6", "--out", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["dominant_root"] == rep["modulus"] == "1.6180339887"
+
+
+LOWER_BOUND = "terms may be negative: largest |real root|, a lower bound on the dominant modulus"
+
+
+@pytest.mark.parametrize("jumps, weights, root, modulus, note", [
+    # a real root 0.7% below the dominant one once made term ratios miss it
+    ("0,6,7", None, "1.3887275744", "1.3887275744", "largest-modulus real root"),
+    ("0,1,3", "2,1/2,2", "2.1813212875", "2.1813212875", "largest-modulus real root"),
+    # chi has the roots 1 and -1 and a non-real pair on the unit circle
+    ("0,1,2", "1,1/2,-1", None, "1.0000000000", LOWER_BOUND),
+], ids=["0,6,7", "0,1,3-weighted", "0,1,2-signed"])
+def test_growth_block_claims_what_the_roots_prove(derived, jumps, weights,
+                                                  root, modulus, note):
+    g = growth_dict(derived(jumps, None, weights).growth)
+    assert (g["dominant_root"], g["modulus"], g["note"]) == (root, modulus, note)
 
 
 def test_moments_table_row(capsys):
@@ -266,11 +288,11 @@ def test_budget_bits_reach_the_budget_from_either_place(capsys, argv):
     (["--jumps", "0,1n+0,2n-1", "--size", "3n", "--weights", "1/2,2,-1"], "8.125"),
 ])
 def test_simple_real_dominant_root_is_reported(capsys, argv, root):
-    # sympy: each chi has this root once, and no root of larger modulus
+    # sympy: each chi has this root once, and no root of larger modulus; a
+    # negative weight leaves it a lower bound on the dominant modulus
     code, out = run(capsys, "derive", *argv, "--out", "json")
     assert code == 0
     g = json.loads(out)["growth"]
-    assert g["note"] == "largest-modulus real root"
-    assert f"{float(g['dominant_root']):.10g}" == root
+    assert g["note"] == LOWER_BOUND and g["dominant_root"] is None
     # every printed digit is true: 3.0000000000, 8.0000000000, 8.1250000000
-    assert g["dominant_root"] == f"{float(root):.10f}"
+    assert g["modulus"] == f"{float(root):.10f}"

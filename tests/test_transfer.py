@@ -196,7 +196,6 @@ def test_weighted_alpha_is_rational():
     sys_ = build_transfer_system(_dec("0,1,2"))
     wsys = build_transfer_system(decompose(normalize(
         parse_spec("0,1,2", weights="2,1,1"))))
-    assert wsys.weighted
     # jump-0 self-loop carries weight 2: the all-ones diagonal block doubles
     assert wsys.blocks[-1] == [[Fraction(2)]]
     assert [[int(v) for v in row] for row in sys_.a_bar] != wsys.a_bar
