@@ -13,7 +13,7 @@ from .errors import InconsistencyError
 
 @dataclass(frozen=True)
 class Budget:
-    ryser_max_dim: int = 24       # Glynn is Theta(nnz 2^(n-1)); dimension cap
+    ryser_max_dim: int = 24       # column-set DP, exponential in open columns; dimension cap
     enum_max_size: int = 20       # exhaustive cover enumeration: matrix size cap
     enum_max_jumps: int = 4       # exhaustive cover enumeration: jump count cap
     pairing_state_cap: int = 4096  # augmented (pairing x moment) dimension cap

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .errors import InconsistencyError
-from .lattice import Decomposition, Edge, SymEdge, Vertex, lattice_vertices, row_last
+from .lattice import Decomposition, SymEdge, Vertex, row_last
 
 Bits = tuple[int, ...]
 
@@ -126,41 +125,6 @@ def extend_right(dec: Decomposition, right: Bits,
     return tuple(new_right)
 
 
-def extend(dec: Decomposition, x: Classification,
-           s_new: Iterable[SymEdge]) -> Optional[Classification]:
-    """Classification of T union s_new for any representative T of x."""
-    s_new = tuple(s_new)
-    heads = [e.head.row for e in s_new]
-    if sorted(heads) != list(range(dec.spec.size_coeff)):
-        return None  # every new vertex needs in-degree exactly 1
-    right = extend_right(dec, x.right, s_new)
-    if right is None:
-        return None
-    return Classification(x.left, right)
-
-
-def completes(dec: Decomposition, x: Classification,
-              s_hook: Iterable[SymEdge]) -> bool:
-    """True iff adding s_hook turns a representative of x into a cycle cover:
-    every left in-bit and right out-bit reaches exactly 1."""
-    w = dec.slot_width
-    in_add = [0] * w
-    out_add = [0] * w
-    for e in s_hook:
-        if e.tail.anchor != "R" or e.head.anchor != "L":
-            raise InconsistencyError("completes() expects R->L hook edges")
-        out_add[slot(dec, e.tail)] += 1
-        in_add[slot(dec, e.head)] += 1
-    return (all(x.right[i] + out_add[i] == 1 for i in range(w))
-            and all(x.left[i] + in_add[i] == 1 for i in range(w)))
-
-
-def enumerate_classifications(dec: Decomposition) -> list[Classification]:
-    """All 2^(2w) profiles in the canonical (consistent, zero-count grouped)
-    order."""
-    return list(ClassOrdering(dec.slot_width).all())
-
-
 def window_vertices(dec: Decomposition, n: int) -> tuple[list[Vertex], list[Vertex]]:
     """Concrete L(n), R(n) in slot order."""
     spec = dec.spec
@@ -168,31 +132,3 @@ def window_vertices(dec: Decomposition, n: int) -> tuple[list[Vertex], list[Vert
     right = [(s.row, row_last(spec, n, s.row) - s.offset)
              for s in dec.boundaries.right]
     return left, right
-
-
-def classify(dec: Decomposition, n: int, edges: Iterable[Edge]) -> Optional[Classification]:
-    """Classify a concrete edge subset of L_n, or None when not a legal cover.
-
-    Direct recomputation from the degrees: tests validate extend(),
-    completes() and the transfer census's bucketing with it.
-    """
-    if n < dec.n0:
-        raise InconsistencyError(f"classify needs n >= n0 = {dec.n0}")
-    spec = dec.spec
-    verts = lattice_vertices(spec, n)
-    indeg = {v: 0 for v in verts}
-    outdeg = {v: 0 for v in verts}
-    for tail, head, _ in edges:
-        outdeg[tail] += 1
-        indeg[head] += 1
-    if any(d > 1 for d in indeg.values()) or any(d > 1 for d in outdeg.values()):
-        return None
-    left, right = window_vertices(dec, n)
-    lset, rset = set(left), set(right)
-    for v in verts:
-        if v not in lset and indeg[v] != 1:
-            return None
-        if v not in rset and outdeg[v] != 1:
-            return None
-    return Classification(tuple(indeg[v] for v in left),
-                          tuple(outdeg[v] for v in right))

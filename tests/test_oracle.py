@@ -1,5 +1,5 @@
-"""Brute-force oracles: Glynn vs Ryser vs naive permanents, enumeration
-statistics."""
+"""Brute-force oracles: the column-set DP vs Ryser vs naive permanents,
+enumeration statistics vs a sum over all permutations."""
 import math
 import random
 from fractions import Fraction
@@ -16,22 +16,23 @@ from circperm.pipeline import verify
 
 
 def naive_permanent(m):
+    """The defining sum over permutations, expanded row by row and skipping
+    zero entries, so a sparse 10 x 10 stays cheap."""
     n = len(m)
-    total = 0
-    for perm in permutations(range(n)):
-        prod = 1
-        for i in range(n):
-            prod *= m[i][perm[i]]
-            if prod == 0:
-                break
-        total += prod
-    return total
+
+    def rest(i, free):
+        if i == n:
+            return 1
+        return sum(m[i][j] * rest(i + 1, free - {j})
+                   for j in free if m[i][j])
+
+    return rest(0, frozenset(range(n)))
 
 
 def ryser_reference(m):
     """Ryser's alternating sum over column subsets in Gray-code order, with
-    rows scaled to ints by the lcm of their denominators: the permanent
-    oracle before Glynn's formula replaced it, kept as the reference."""
+    rows scaled to ints by the lcm of their denominators: an earlier
+    permanent oracle, kept as an inclusion-exclusion reference."""
     n = len(m)
     if n == 0:
         return 1
@@ -108,11 +109,15 @@ _entry = st.one_of(st.integers(-3, 3),
 
 @st.composite
 def mixed_matrices(draw):
-    """Square matrices of dimension 0..8 whose rows mix ints and Fractions
-    of different denominators, negatives included; half of them get a zero
-    row or a zero column."""
-    n = draw(st.integers(0, 8))
-    m = [draw(st.lists(_entry, min_size=n, max_size=n)) for _ in range(n)]
+    """Square matrices whose rows mix ints and Fractions of different
+    denominators, negatives included: dense ones of dimension 0..8 and
+    sparse ones (about half zeros) of dimension 0..10, in which the DP
+    drops states that leave a column unused.  Half of them get a zero row
+    or a zero column."""
+    sparse = draw(st.booleans())
+    n = draw(st.integers(0, 10 if sparse else 8))
+    entry = st.one_of(st.just(0), _entry) if sparse else _entry
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
     if n and draw(st.booleans()):
         k = draw(st.integers(0, n - 1))
         if draw(st.booleans()):
@@ -128,9 +133,10 @@ def mixed_matrices(draw):
 @hypothesis.example([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]])
 @hypothesis.example([[Fraction(1, 2), Fraction(1, 2)], [1, 1]])     # integral
 @hypothesis.example([[Fraction(2, 3), Fraction(1, 2)], [3, Fraction(-1, 4)]])
-@hypothesis.example([[Fraction(-5, 3)]])                # dim 1: no flip
+@hypothesis.example([[Fraction(-5, 3)]])
 @hypothesis.example([[4]])
-@hypothesis.example([[1, -1, 0], [1, 1, 1], [1, 0, -1]])  # a column sum vanishes
+@hypothesis.example([[1, -1, 0], [1, 1, 1], [1, 0, -1]])
+@hypothesis.example([[0, 1, 0], [1, 0, 1], [1, 1, 0]])  # column 0 closes at row 1
 def test_ryser_matches_naive_on_mixed_rows(m):
     got, want = ryser_permanent(m), naive_permanent(m)
     assert got == want == ryser_reference(m)
@@ -145,6 +151,16 @@ def test_ryser_size_cap():
     with pytest.raises(SizeCapError):
         ryser_permanent(big)
     assert ryser_permanent([[1]], max_dim=1) == 1
+
+
+def test_ryser_at_the_dimension_cap(derived):
+    # size 24, the default cap: the column-set DP keeps at most a few
+    # hundred states on these sparse rows, so this stays fast
+    assert ryser_permanent(adjacency_matrix(parse_spec("0,1,2"), 24)) \
+        == 103684                                         # Lucas(24) + 2
+    spec = parse_spec("0,1n+0,2n-1", size="3n")
+    assert ryser_permanent(adjacency_matrix(spec, 8)) == 7073
+    assert derived("0,1n+0,2n-1", "3n").raw_term(8) == 7073
 
 
 def test_ryser_circulant_at_six_is_twenty():
@@ -196,9 +212,7 @@ def test_oracles_agree(jumps):
                 == enumerate_stats(spec, n).count)
 
 
-def test_glynn_with_vanishing_column_sums_matches_enumeration():
-    # with three 0/1 jumps a column sum is odd at every sign vector; with
-    # four it vanishes at many, which walks the zero-count branch
+def test_four_jump_permanent_matches_enumeration():
     spec = parse_spec("0,1,2,4")
     checked = []
     for n in range(1, 17):
@@ -230,3 +244,50 @@ def test_legal_cover_enumeration_counts():
     covers = list(enumerate_legal_covers(verts, sorted(lattice_edges(spec, 4)),
                                          left, right))
     assert len(covers) == 10
+
+
+def permutation_stats(jumps, size, i_max):
+    """CoverStats from the definition: every permutation of range(size)
+    whose steps are all jumps, with its cycles counted at the leaf."""
+    residues = {j % size for j in jumps}
+    count, moments, ham = 0, [0] * (i_max + 1), 0
+    for perm in permutations(range(size)):
+        if any((perm[i] - i) % size not in residues for i in range(size)):
+            continue
+        seen, cycles = set(), 0
+        for start in range(size):
+            if start not in seen:
+                cycles += 1
+                v = start
+                while v not in seen:
+                    seen.add(v)
+                    v = perm[v]
+        count += 1
+        moments = [m + cycles ** t for t, m in enumerate(moments)]
+        ham += cycles == 1
+    return count, tuple(moments), ham
+
+
+@st.composite
+def jump_sets_and_sizes(draw):
+    """1-4 distinct jumps in [-4, 4] and a size 1..8 at which no two of
+    them collide."""
+    jumps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4,
+                          unique=True))
+    sizes = [n for n in range(1, 9)
+             if len({j % n for j in jumps}) == len(jumps)]
+    hypothesis.assume(sizes)
+    return jumps, draw(st.sampled_from(sizes))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(jump_sets_and_sizes())
+@hypothesis.example(([0], 5))                 # self-loops only: n cycles
+@hypothesis.example(([3], 1))                 # size 1
+@hypothesis.example(([-1, 0, 1], 8))
+@hypothesis.example(([1, 2, 3, 4], 8))
+def test_enumerate_stats_matches_permutations(case):
+    jumps, size = case
+    got = enumerate_stats(parse_spec(",".join(map(str, jumps))), size, i_max=2)
+    assert (got.count, got.moment_sums, got.hamiltonian_count) \
+        == permutation_stats(jumps, size, 2)
