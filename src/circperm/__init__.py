@@ -11,7 +11,6 @@ from .algebra import (GrowthEstimate, Polynomial, Recurrence, char_poly,
                       eval_recurrence, growth, min_recurrence)
 from .budget import Budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize, parse_spec
-from .classify import Classification
 from .errors import (AnnihilationError, BlockStructureError, CircPermError,
                      CollisionError, InconsistencyError, NoRecurrenceError,
                      SizeCapError, SpecSyntaxError, StateBudgetError)

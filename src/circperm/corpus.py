@@ -156,9 +156,9 @@ def check_golden_transfer(get=None) -> list[Check]:
          str(res.annihilator)),
     ]
     # A = diag(A-bar x4) carries T-bar(4) to T-bar(5): golden A-bar on each
-    # left tuple's slice of golden T-bar(4) must give the census of L_5
+    # left mask's slice of golden T-bar(4) must give the census of L_5
     try:
-        verify_against_census(sys_.dec, sys_.ordering, GOLDEN_A_BAR, GOLDEN_T4)
+        verify_against_census(sys_.dec, GOLDEN_A_BAR, GOLDEN_T4)
         out.append(("full A = diag(A-bar x4)", True,
                     "A-bar x T-bar(4) = census of L_5 on all 4 left tuples"))
     except BlockStructureError as exc:
@@ -244,20 +244,19 @@ def check_degree_bounds(get=None) -> list[Check]:
     return out
 
 
-def check_growth(get=None, tol: float = 1e-6) -> list[Check]:
+def check_growth(get=None) -> list[Check]:
     get = get or _derive_cached()
     out: list[Check] = []
     for row in TABLE1:
         res = get(row["jumps"], row["size"])
         g = res.growth
-        ok = g.dominant_root is not None and abs(g.dominant_root - row["growth"]) < tol
+        ok = g.dominant_root is not None and abs(g.dominant_root - row["growth"]) < 1e-6
         out.append((f"{row['name']} growth", ok,
                     f"{float(g.modulus)} vs {row['growth']}"))
     return out
 
 
-def check_table2(budget: Budget = Budget(),
-                 enum_n_max: int = 12) -> list[Check]:
+def check_table2(budget: Budget = Budget()) -> list[Check]:
     out: list[Check] = []
     for row in TABLE2:
         spec = parse_spec(row["jumps"])
@@ -270,7 +269,7 @@ def check_table2(budget: Budget = Budget(),
         vals = {n: eval_recurrence(rec, n) for n in row["terms"]}
         out.append((f"{row['name']} terms", vals == row["terms"], f"{vals}"))
         ok, detail = True, ""
-        for n in range(res.n0, enum_n_max + 1):
+        for n in range(res.n0, 13):       # enumerate up to n = 12
             if spec.size(n) > budget.enum_max_size:
                 break
             st = enumerate_stats(spec, n, 1, budget)

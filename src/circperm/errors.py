@@ -19,7 +19,7 @@ class CollisionError(CircPermError):
 
 
 class BlockStructureError(CircPermError):
-    """The transfer matrix is not diag(A-bar, ..., A-bar) under the supplied ordering."""
+    """The transfer matrix is not diag(A-bar, ..., A-bar) under the canonical order."""
 
 
 class AnnihilationError(CircPermError):

@@ -29,8 +29,7 @@ from .budget import Budget
 from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
 from .lattice import decompose
-from .oracle import enumerate_legal_covers
-from .transfer import iterate
+from .transfer import enumerate_legal_covers, iterate
 
 Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
 # A pairing-transfer state: its open paths as (start slot, end slot).  An

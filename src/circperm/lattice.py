@@ -32,14 +32,6 @@ class SymVertex:
     row: int
     offset: int
 
-    def eval(self, spec: CirculantSpec, n: int) -> Vertex:
-        last = row_last(spec, n, self.row)
-        if self.anchor == "L":
-            return (self.row, self.offset)
-        if self.anchor == "R":
-            return (self.row, last - self.offset)
-        return (self.row, last + 1)
-
     def __str__(self):
         if self.anchor == "L":
             return f"({self.row},{self.offset})"
@@ -54,9 +46,6 @@ class SymEdge:
     head: SymVertex
     jump_index: int
 
-    def eval(self, spec: CirculantSpec, n: int) -> Edge:
-        return (self.tail.eval(spec, n), self.head.eval(spec, n), self.jump_index)
-
     def __str__(self):
         return f"{self.tail}->{self.head}[j{self.jump_index}]"
 
@@ -69,7 +58,6 @@ class BoundarySets:
     left: tuple[SymVertex, ...]
     right: tuple[SymVertex, ...]
     new_vertices: tuple[SymVertex, ...]
-    bar_s: int
 
 
 @dataclass(frozen=True)
@@ -85,7 +73,7 @@ class Decomposition:
 
     @property
     def slot_width(self) -> int:
-        """Classification tuple width p*bar_s."""
+        """Width w = p*bar_s of a class's left and right masks."""
         return self.spec.size_coeff * self.bar_s
 
 
@@ -227,5 +215,5 @@ def decompose(spec: CirculantSpec, check_span: int = 2) -> Decomposition:
     left = tuple(SymVertex("L", i // bar_s, i % bar_s) for i in range(p * bar_s))
     right = tuple(SymVertex("R", i // bar_s, i % bar_s) for i in range(p * bar_s))
     nv = tuple(SymVertex("N", u, 0) for u in range(p))
-    bounds = BoundarySets(left, right, nv, bar_s)
+    bounds = BoundarySets(left, right, nv)
     return Decomposition(spec, hook, new, bounds, bar_s, s_plus, s_minus, n0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .budget import Budget
 from .circulant import CirculantSpec, jump_residues
@@ -108,8 +108,8 @@ def enumerate_stats(spec: CirculantSpec, n: int, i_max: int = 0,
     more cycle) or joins two paths, in O(1) either way.
 
     This shares no code with the lattice and transfer census
-    (`enumerate_legal_covers` below): the oracle checks that pipeline, so
-    it must not inherit its mistakes.
+    (`transfer.enumerate_legal_covers`): the oracle checks that pipeline,
+    so it must not inherit its mistakes.
     """
     size = spec.size(n)
     if size > budget.enum_max_size:
@@ -166,52 +166,3 @@ def brute_hamiltonian(spec: CirculantSpec, n: int,
                       budget: Budget = Budget()) -> int:
     """Number of single-orbit cycle covers (Hamiltonian cycles)."""
     return enumerate_stats(spec, n, 0, budget).hamiltonian_count
-
-
-def enumerate_legal_covers(vertices: Sequence[Hashable],
-                           edges: Sequence[tuple],
-                           in_free: set, out_free: set) -> Iterator[tuple]:
-    """All edge subsets that are legal covers: degrees <= 1 everywhere,
-    in-degree 1 off `in_free`, out-degree 1 off `out_free`.
-
-    Edges are (tail, head, payload) triples; yields tuples of edges.
-    Used for oracle cross-checks of the classification layer and to seed
-    the augmented transfer states at the base size.
-    """
-    order = {v: i for i, v in enumerate(vertices)}
-    out_edges: dict = {v: [] for v in vertices}
-    last_tail: dict = {}
-    for e in edges:
-        tail, head = e[0], e[1]
-        out_edges[tail].append(e)
-        pos = order[tail]
-        last_tail[head] = max(last_tail.get(head, -1), pos)
-
-    nv = len(vertices)
-    deadline: list[list] = [[] for _ in range(nv + 1)]
-    for v in vertices:
-        if v not in in_free:
-            deadline[last_tail.get(v, -1) + 1].append(v)
-
-    chosen: list = []
-    covered: set = set()
-
-    def rec(idx: int) -> Iterator[tuple]:
-        for v in deadline[idx]:
-            if v not in covered:
-                return
-        if idx == nv:
-            yield tuple(chosen)
-            return
-        v = vertices[idx]
-        for e in out_edges[v]:
-            if e[1] not in covered:
-                covered.add(e[1])
-                chosen.append(e)
-                yield from rec(idx + 1)
-                chosen.pop()
-                covered.remove(e[1])
-        if v in out_free:
-            yield from rec(idx + 1)
-
-    yield from rec(0)

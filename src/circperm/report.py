@@ -85,8 +85,7 @@ def growth_dict(g: GrowthEstimate) -> dict:
 
 
 def derive_report(result: DeriveResult,
-                  verification: Optional[list[VerificationEntry]] = None,
-                  terms_shown: int = 16) -> dict:
+                  verification: Optional[list[VerificationEntry]] = None) -> dict:
     rep = {
         "schema": SCHEMA,
         "spec": {**spec_dict(result.spec), **{"text": spec_strings(result.spec)}},
@@ -95,7 +94,7 @@ def derive_report(result: DeriveResult,
         "n0": result.n0,
         "transfer": {
             "slot_width": result.system.w,
-            "a_bar_dim": result.system.ordering.num_rights,
+            "a_bar_dim": len(result.system.a_bar),
             "block_sizes": [len(b) for b in result.system.blocks],
             "full_matrix_copies": result.system.multiplicity,
         },
@@ -105,7 +104,7 @@ def derive_report(result: DeriveResult,
         },
         "recurrence": recurrence_dict(result.recurrence),
         "terms": {"start": result.n0,
-                  "values": term_values(result.recurrence, terms_shown)},
+                  "values": term_values(result.recurrence, 16)},
         "growth": growth_dict(result.growth),
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }

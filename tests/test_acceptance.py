@@ -74,7 +74,7 @@ def test_criterion_4_degree_bounds(get):
 
 
 def test_criterion_5_growth_constants(get):
-    _assert_all("5 dominant roots to 1e-6", corpus.check_growth(get, tol=1e-6))
+    _assert_all("5 dominant roots to 1e-6", corpus.check_growth(get))
 
 
 def test_criterion_6_cycle_moments(get):

@@ -1,39 +1,48 @@
-"""Classification layer: ordering, extension, completion, and exhaustive
-representative-independence against direct recomputation on concrete covers.
+"""Classes of legal covers: the canonical orders, extension, completion,
+and exhaustive representative-independence against direct recomputation on
+concrete covers.
 
-`extend`, `completes`, `enumerate_classifications` and `classify` below
-are references that only the tests use; `test_transfer` imports `classify`
-from here."""
-from itertools import combinations
+A class is a (left mask, right mask) pair, slot i at bit i.  `extend`,
+`completes`, `enumerate_classifications` and `classify` below are
+references that only the tests use; `test_transfer` imports `classify` and
+`position` from here."""
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 import pytest
 
 from circperm.circulant import normalize, parse_spec
-from circperm.classify import (ClassOrdering, Classification, extend_right,
-                               slot, window_vertices)
 from circperm.errors import InconsistencyError
 from circperm.lattice import (Decomposition, Edge, SymEdge, decompose,
                               lattice_edges, lattice_vertices)
-from circperm.oracle import enumerate_legal_covers
-from circperm.transfer import new_edge_choices
+from circperm.transfer import (_bucketer, _group_span,
+                               enumerate_legal_covers, extend_right,
+                               new_edge_choices, right_order, slot,
+                               window_vertices)
+from test_lattice import concrete_edge
+
+Class = tuple[int, int]
 
 
-def extend(dec: Decomposition, x: Classification,
-           s_new: Iterable[SymEdge]) -> Optional[Classification]:
-    """Classification of T union s_new for any representative T of x."""
+def position(w: int, cls: Class) -> int:
+    """Canonical position of a class: left mask * 2^w + right mask's index."""
+    return (cls[0] << w) + right_order(w).index(cls[1])
+
+
+def extend(dec: Decomposition, x: Class,
+           s_new: Iterable[SymEdge]) -> Optional[Class]:
+    """Class of T union s_new for any representative T of x."""
     s_new = tuple(s_new)
     heads = [e.head.row for e in s_new]
     if sorted(heads) != list(range(dec.spec.size_coeff)):
         return None  # every new vertex needs in-degree exactly 1
-    right = extend_right(dec, x.right, s_new)
+    right = extend_right(dec, x[1], s_new)
     if right is None:
         return None
-    return Classification(x.left, right)
+    return (x[0], right)
 
 
-def completes(dec: Decomposition, x: Classification,
-              s_hook: Iterable[SymEdge]) -> bool:
+def completes(dec: Decomposition, x: Class, s_hook: Iterable[SymEdge]) -> bool:
     """True iff adding s_hook turns a representative of x into a cycle cover:
     every left in-bit and right out-bit reaches exactly 1."""
     w = dec.slot_width
@@ -44,17 +53,18 @@ def completes(dec: Decomposition, x: Classification,
             raise InconsistencyError("completes() expects R->L hook edges")
         out_add[slot(dec, e.tail)] += 1
         in_add[slot(dec, e.head)] += 1
-    return (all(x.right[i] + out_add[i] == 1 for i in range(w))
-            and all(x.left[i] + in_add[i] == 1 for i in range(w)))
+    left, right = x
+    return (all((right >> i & 1) + out_add[i] == 1 for i in range(w))
+            and all((left >> i & 1) + in_add[i] == 1 for i in range(w)))
 
 
-def enumerate_classifications(dec: Decomposition) -> list[Classification]:
-    """All 2^(2w) profiles in the canonical (consistent, zero-count grouped)
-    order."""
-    return list(ClassOrdering(dec.slot_width).all())
+def enumerate_classifications(dec: Decomposition) -> list[Class]:
+    """All 2^(2w) classes in the canonical (zero-count grouped) order."""
+    w = dec.slot_width
+    return [(left, right) for left in range(1 << w) for right in right_order(w)]
 
 
-def classify(dec: Decomposition, n: int, edges: Iterable[Edge]) -> Optional[Classification]:
+def classify(dec: Decomposition, n: int, edges: Iterable[Edge]) -> Optional[Class]:
     """Classify a concrete edge subset of L_n, or None when not a legal cover.
 
     Direct recomputation from the degrees: tests validate extend(),
@@ -78,8 +88,8 @@ def classify(dec: Decomposition, n: int, edges: Iterable[Edge]) -> Optional[Clas
             return None
         if v not in rset and outdeg[v] != 1:
             return None
-    return Classification(tuple(indeg[v] for v in left),
-                          tuple(outdeg[v] for v in right))
+    return (sum(indeg[v] << i for i, v in enumerate(left)),
+            sum(outdeg[v] << i for i, v in enumerate(right)))
 
 
 
@@ -95,27 +105,45 @@ def test_classification_counts():
 
 
 def test_zero_count_group_sizes():
-    spans = ClassOrdering(2).group_spans
-    assert [size for _, size in spans] == [1, 2, 1]
-    spans = ClassOrdering(3).group_spans
-    assert [size for _, size in spans] == [1, 3, 3, 1]
+    assert [_group_span(2, k)[1] for k in range(3)] == [1, 2, 1]
+    assert [_group_span(3, k)[1] for k in range(4)] == [1, 3, 3, 1]
+    for w in range(5):
+        rights = right_order(w)
+        for k in range(w + 1):
+            lo, size = _group_span(w, k)
+            assert [m.bit_count() for m in rights[lo:lo + size]] == [k] * size
 
 
 def test_ordering_is_consistent_and_deterministic():
-    ordering = ClassOrdering(2)
-    seen = [ordering.at(i) for i in range(16)]
-    # left tuple changes only every |rights| positions: lexicographic
-    # concatenation of a left and a right ordering
+    seen = enumerate_classifications(_dec("0,1,2"))
+    assert seen == enumerate_classifications(_dec("0,1,2"))
+    # the left mask changes only every 2^w positions: lexicographic
+    # concatenation of the left order (the masks) and the right order
     for i, cls in enumerate(seen):
-        assert cls.left == ordering.lefts[i // 4]
-        assert ordering.position(cls) == i
-    assert len({c.key for c in seen}) == 16
+        assert cls[0] == i // 4
+        assert position(2, cls) == i
+    assert len(set(seen)) == 16
 
 
 def test_key_packing_little_endian():
-    c = Classification((1, 0), (0, 1))
-    assert c.key == 1 + 8          # left slot 0 -> bit 0, right slot 1 -> bit 3
-    assert c.bit_string() == "10|01"
+    """An edge into left slot 0 and one out of right slot 1 give left mask
+    0b01 and right mask 0b10, which sits at right position 1."""
+    bucket = _bucketer(2, ["l0", "l1"], ["r0", "r1"])
+    assert bucket([("x", "l0", 0), ("r1", "y", 0)]) == (0b01 << 2) + 1
+    assert position(2, (0b01, 0b10)) == 5
+
+
+@pytest.mark.parametrize("w", range(5))
+def test_canonical_orders_pin(w):
+    """Right masks follow their slot tuples sorted by (ones, tuple); left
+    masks follow their slot tuples sorted by the reversed tuple, which is
+    plain integer order."""
+    tuples = list(product((0, 1), repeat=w))
+
+    def mask(t):
+        return sum(b << i for i, b in enumerate(t))
+    assert right_order(w) == [mask(t) for t in sorted(tuples, key=lambda r: (sum(r), r))]
+    assert [mask(t) for t in sorted(tuples, key=lambda t: t[::-1])] == list(range(2 ** w))
 
 
 def test_classify_empty_cover_is_illegal():
@@ -126,10 +154,9 @@ def test_classify_empty_cover_is_illegal():
 def test_extend_examples():
     dec = _dec("0,1,2")
     jump2 = [e for e in dec.new if e.jump_index == 2]
-    assert extend(dec, Classification((0, 0), (0, 0)), jump2) \
-        == Classification((0, 0), (0, 0))
-    assert extend(dec, Classification((0, 1), (0, 1)), jump2) is None
-    assert extend(dec, Classification((0, 0), (0, 0)), []) is None
+    assert extend(dec, (0b00, 0b00), jump2) == (0b00, 0b00)
+    assert extend(dec, (0b10, 0b10), jump2) is None
+    assert extend(dec, (0b00, 0b00), []) is None
 
 
 def test_extend_rejects_multi_edge_subsets_constant_case():
@@ -148,7 +175,7 @@ def test_new_edge_choice_sizes():
 
 def test_completes_trivial_and_support_count():
     dec = _dec("0,1,2")
-    all_ones = Classification((1, 1), (1, 1))
+    all_ones = (0b11, 0b11)
     assert completes(dec, all_ones, [])
     hooks = sorted(dec.hook)
     supported = 0
@@ -162,11 +189,11 @@ def test_completes_trivial_and_support_count():
 def test_completion_needs_balanced_zero_counts():
     dec = _dec("0,1,2")
     hooks = sorted(dec.hook)
-    for cls in enumerate_classifications(dec):
+    for left, right in enumerate_classifications(dec):
         for r in range(len(hooks) + 1):
             for s in combinations(hooks, r):
-                if completes(dec, cls, s):
-                    assert cls.left.count(0) == cls.right.count(0)
+                if completes(dec, (left, right), s):
+                    assert left.bit_count() == right.bit_count()
 
 
 @pytest.mark.parametrize("jumps,size", [
@@ -178,18 +205,17 @@ def test_zero_count_conservation(jumps, size):
         for combo in new_edge_choices(dec):
             out = extend(dec, cls, combo)
             if out is not None:
-                assert out.right.count(0) == cls.right.count(0)
-                assert out.left == cls.left
+                assert out[1].bit_count() == cls[1].bit_count()
+                assert out[0] == cls[0]
 
 
 def _covers_by_class(dec, n):
     spec = dec.spec
     verts = lattice_vertices(spec, n)
-    left = {s.eval(spec, n) for s in dec.boundaries.left}
-    right = {s.eval(spec, n) for s in dec.boundaries.right}
+    left, right = window_vertices(dec, n)
     edges = sorted(lattice_edges(spec, n))
     grouped = {}
-    for cover in enumerate_legal_covers(verts, edges, left, right):
+    for cover in enumerate_legal_covers(verts, edges, set(left), set(right)):
         cls = classify(dec, n, cover)
         assert cls is not None
         grouped.setdefault(cls, []).append(cover)
@@ -208,8 +234,8 @@ def _is_cycle_cover(spec, n, edges):
 
 @pytest.mark.parametrize("jumps,size", [("0,1,2", None), ("1,2", None)])
 def test_representative_independence_exhaustive(jumps, size):
-    """Every cover with a given classification extends and completes exactly
-    as the classification predicts, over several concrete n."""
+    """Every cover with a given class extends and completes exactly as the
+    class predicts, over several concrete n."""
     dec = _dec(jumps, size)
     spec = dec.spec
     hooks = sorted(dec.hook)
@@ -217,14 +243,14 @@ def test_representative_independence_exhaustive(jumps, size):
         for cls, covers in _covers_by_class(dec, n).items():
             for combo in new_edge_choices(dec):
                 predicted = extend(dec, cls, combo)
-                concrete = [e.eval(spec, n) for e in combo]
+                concrete = [concrete_edge(spec, n, e) for e in combo]
                 for cover in covers:
                     direct = classify(dec, n + 1, list(cover) + concrete)
                     assert direct == predicted, (cls, combo, cover)
             for r in range(len(hooks) + 1):
                 for s in combinations(hooks, r):
                     predicted = completes(dec, cls, s)
-                    concrete = [e.eval(spec, n) for e in s]
+                    concrete = [concrete_edge(spec, n, e) for e in s]
                     for cover in covers:
                         direct = _is_cycle_cover(spec, n, list(cover) + concrete)
                         assert direct == predicted, (cls, s, cover)
@@ -238,7 +264,7 @@ def test_representative_independence_linear_spot():
         for cls, covers in _covers_by_class(dec, n).items():
             for combo in new_edge_choices(dec):
                 predicted = extend(dec, cls, combo)
-                concrete = [e.eval(spec, n) for e in combo]
+                concrete = [concrete_edge(spec, n, e) for e in combo]
                 for cover in covers[:20]:
                     direct = classify(dec, n + 1, list(cover) + concrete)
                     assert direct == predicted

@@ -4,7 +4,18 @@ import pytest
 from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError
 from circperm.lattice import (circulant_edges, decompose, lattice_edges,
-                              lattice_vertices)
+                              lattice_vertices, row_last)
+
+
+def concrete_edge(spec, n, e):
+    """The edge of L_n (or of the new column) that an anchored edge stands
+    for: L offsets count from a row's left end, R offsets from its right
+    end, and N is the vertex just past the right end."""
+    def vertex(sym):
+        last = row_last(spec, n, sym.row)
+        return (sym.row, {"L": sym.offset, "R": last - sym.offset,
+                          "N": last + 1}[sym.anchor])
+    return (vertex(e.tail), vertex(e.head), e.jump_index)
 
 
 def _sym_strings(edges):
@@ -47,13 +58,13 @@ def test_edge_set_partitions(jumps, size):
         ec = circulant_edges(spec, n)
         el = lattice_edges(spec, n)
         assert el <= ec
-        hook_concrete = {e.eval(spec, n) for e in dec.hook}
+        hook_concrete = {concrete_edge(spec, n, e) for e in dec.hook}
         assert ec - el == hook_concrete
         el1 = lattice_edges(spec, n + 1)
         assert el <= el1
         # New(n) anchors are relative to L_n's windows; evaluating at n gives
         # the concrete growth edges of L_{n+1}
-        new_concrete = {e.eval(spec, n) for e in dec.new}
+        new_concrete = {concrete_edge(spec, n, e) for e in dec.new}
         assert el1 - el == new_concrete
 
 

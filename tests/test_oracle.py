@@ -1,17 +1,20 @@
 """Brute-force oracles: the column-set DP vs Ryser vs naive permanents,
-enumeration statistics vs a sum over all permutations."""
+enumeration statistics vs a sum over all permutations, and the oracles'
+independence from the code they check."""
+import ast
 import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import circperm.oracle
 from circperm.budget import Budget
 from circperm.circulant import adjacency_matrix, parse_spec
 from circperm.errors import CollisionError, SizeCapError
-from circperm.oracle import (brute_hamiltonian, enumerate_legal_covers,
-                             enumerate_stats, ryser_permanent)
+from circperm.oracle import brute_hamiltonian, enumerate_stats, ryser_permanent
 from circperm.pipeline import verify
 
 
@@ -236,13 +239,13 @@ def test_legal_cover_enumeration_counts():
     # hand-enumerated census of legal covers of the {0,1,2} lattice at n=4
     from circperm.circulant import normalize
     from circperm.lattice import decompose, lattice_edges, lattice_vertices
+    from circperm.transfer import enumerate_legal_covers, window_vertices
     dec = decompose(normalize(parse_spec("0,1,2")))
     spec = dec.spec
     verts = lattice_vertices(spec, 4)
-    left = {s.eval(spec, 4) for s in dec.boundaries.left}
-    right = {s.eval(spec, 4) for s in dec.boundaries.right}
+    left, right = window_vertices(dec, 4)
     covers = list(enumerate_legal_covers(verts, sorted(lattice_edges(spec, 4)),
-                                         left, right))
+                                         set(left), set(right)))
     assert len(covers) == 10
 
 
@@ -291,3 +294,21 @@ def test_enumerate_stats_matches_permutations(case):
     got = enumerate_stats(parse_spec(",".join(map(str, jumps))), size, i_max=2)
     assert (got.count, got.moment_sums, got.hamiltonian_count) \
         == permutation_stats(jumps, size, 2)
+
+
+def test_oracle_imports_none_of_the_code_it_checks():
+    """The oracles share no code with the pipeline they validate: no import
+    in oracle.py names the lattice, transfer, extensions or pipeline module."""
+    tree = ast.parse(Path(circperm.oracle.__file__).read_text())
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts.update(name.split("."))
+    assert {"budget", "circulant", "errors"} <= parts
+    assert parts.isdisjoint({"lattice", "transfer", "extensions", "pipeline"})

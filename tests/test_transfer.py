@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from circperm.circulant import adjacency_matrix, normalize, parse_spec
-from circperm.classify import ClassOrdering, window_vertices
 from circperm.errors import BlockStructureError
 from circperm.lattice import decompose, lattice_edges, lattice_vertices, row_last
-from circperm.oracle import enumerate_legal_covers, enumerate_stats, ryser_permanent
+from circperm.oracle import enumerate_stats, ryser_permanent
 from circperm.transfer import (_bucketer, build_alpha, build_initial,
-                               build_transfer_system, sequence,
-                               verify_against_census, verify_block_structure)
-from test_classify import classify
+                               build_transfer_system, enumerate_legal_covers,
+                               right_order, sequence, verify_against_census,
+                               verify_block_structure, window_vertices)
+from test_classify import classify, position
 
 GOLDEN_A_BAR = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
 
@@ -22,8 +22,8 @@ def _dec(jumps, size=None, weights=None):
     return decompose(normalize(parse_spec(jumps, size, weights)))
 
 
-def ryser_t0(dec, ordering):
-    """Reference T0, independent of the cover census: per classification X,
+def ryser_t0(dec):
+    """Reference T0, independent of the cover census: per class X,
     the permanent of L_{n0}'s pairing graph G_X, in which the zero slots of
     X's right window are joined back to the zero slots of its left window."""
     spec, n0, w = dec.spec, dec.n0, dec.slot_width
@@ -34,10 +34,10 @@ def ryser_t0(dec, ordering):
     right_v = [(s.row, row_last(spec, n0, s.row) - s.offset)
                for s in dec.boundaries.right]
     t0 = []
-    for left in ordering.lefts:
-        lz = [i for i in range(w) if left[i] == 0]
-        for right in ordering.rights:
-            rz = [i for i in range(w) if right[i] == 0]
+    for left in range(1 << w):
+        lz = [i for i in range(w) if not left >> i & 1]
+        for right in right_order(w):
+            rz = [i for i in range(w) if not right >> i & 1]
             if len(lz) != len(rz):
                 t0.append(0)
                 continue
@@ -74,8 +74,7 @@ def test_golden_transfer_data(sys012):
 ])
 def test_census_t0_matches_the_pairing_graph_permanents(jumps, size, weights):
     dec = _dec(jumps, size, weights)
-    ordering = ClassOrdering(dec.slot_width)
-    assert build_initial(dec, ordering) == ryser_t0(dec, ordering)
+    assert build_initial(dec) == ryser_t0(dec)
 
 
 @pytest.mark.parametrize("jumps,size,weights", [
@@ -83,26 +82,40 @@ def test_census_t0_matches_the_pairing_graph_permanents(jumps, size, weights):
     ("0,1,4", None, "1/2,3,-1")])
 def test_census_buckets_every_cover_as_classify_does(jumps, size, weights):
     dec = _dec(jumps, size, weights)
-    ordering = ClassOrdering(dec.slot_width)
+    w = dec.slot_width
     for n in (dec.n0, dec.n0 + 1):
         left, right = window_vertices(dec, n)
-        bucket = _bucketer(ordering, left, right)
+        bucket = _bucketer(w, left, right)
         covers = list(enumerate_legal_covers(
             lattice_vertices(dec.spec, n), sorted(lattice_edges(dec.spec, n)),
             set(left), set(right)))
         assert covers
         for cover in covers:
-            assert bucket(cover) == ordering.position(classify(dec, n, cover))
+            assert bucket(cover) == position(w, classify(dec, n, cover))
 
 
 @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (1, 2), (2, 1), (3, 3),
                                  (0, 3), (2, 2), (3, 0)])
 def test_census_check_catches_a_changed_a_bar_entry(sys012, i, j):
-    verify_against_census(sys012.dec, sys012.ordering, sys012.a_bar, sys012.t0)
+    verify_against_census(sys012.dec, sys012.a_bar, sys012.t0)
     bad = [list(row) for row in sys012.a_bar]
     bad[i][j] += 1
-    with pytest.raises(BlockStructureError):
-        verify_against_census(sys012.dec, sys012.ordering, bad, sys012.t0)
+    with pytest.raises(BlockStructureError, match=r"class [01]{2}\|[01]{2},"):
+        verify_against_census(sys012.dec, bad, sys012.t0)
+
+
+def test_census_check_names_the_class_by_its_slot_bits(sys012):
+    """Left mask 0b01 and right position 1 (mask 0b10) print slot 0 first."""
+    bad = [list(row) for row in sys012.a_bar]
+    bad[1][1] += 1
+    with pytest.raises(BlockStructureError,
+                       match=r"gives 5 covers of class 10\|01, but L_5 .* has 3"):
+        verify_against_census(sys012.dec, bad, sys012.t0)
+    linear = build_transfer_system(_dec("1,1n+1,2n+0", "3n"))
+    bad = [list(row) for row in linear.a_bar]
+    bad[2][5] += 1
+    with pytest.raises(BlockStructureError, match=r"of class 110\|010, but L_3"):
+        verify_against_census(linear.dec, bad, linear.t0)
 
 
 def test_self_loop_only_spec():
@@ -118,25 +131,24 @@ def test_linear_a_bar_against_direct_cover_counts():
     dec = _dec("1,1n+1,2n+0", "3n")
     sys_ = build_transfer_system(dec)
     assert len(sys_.a_bar) == 8
-    ordering = sys_.ordering
+    w = sys_.w
     spec = dec.spec
 
     def census(n):
         verts = lattice_vertices(spec, n)
-        left = {s.eval(spec, n) for s in dec.boundaries.left}
-        right = {s.eval(spec, n) for s in dec.boundaries.right}
+        left, right = window_vertices(dec, n)
         counts = {}
         for cover in enumerate_legal_covers(
-                verts, sorted(lattice_edges(spec, n)), left, right):
-            cls = classify(dec, n, cover)
-            counts[ordering.position(cls)] = counts.get(ordering.position(cls), 0) + 1
+                verts, sorted(lattice_edges(spec, n)), set(left), set(right)):
+            pos = position(w, classify(dec, n, cover))
+            counts[pos] = counts.get(pos, 0) + 1
         return counts
 
     t2 = census(dec.n0)
     assert t2 == {i: v for i, v in enumerate(sys_.t0) if v}
     t3 = census(dec.n0 + 1)
-    nr = ordering.num_rights
-    for li in range(len(ordering.lefts)):
+    nr = 1 << w
+    for li in range(nr):
         seg = sys_.t0[li * nr:(li + 1) * nr]
         pushed = [sum(sys_.a_bar[i][j] * seg[j] for j in range(nr))
                   for i in range(nr)]
@@ -145,35 +157,29 @@ def test_linear_a_bar_against_direct_cover_counts():
 
 
 def test_beta_spot_values(sys012):
-    ordering = sys012.ordering
-    pos = ordering.left_pos[(0, 1)] * 4 + ordering.right_pos[(1, 0)]
-    assert sys012.beta[pos] == 1          # completed by the single edge into 0
-    pos = ordering.left_pos[(1, 1)] * 4 + ordering.right_pos[(1, 1)]
-    assert sys012.beta[pos] == 1          # nothing missing
-    pos = ordering.left_pos[(1, 0)] * 4 + ordering.right_pos[(1, 0)]
-    assert sys012.beta[pos] == 0
+    # masks: slot 0 at bit 0, so slot tuple (0, 1) is 0b10
+    assert sys012.beta[position(2, (0b10, 0b01))] == 1   # completed by the single edge into 0
+    assert sys012.beta[position(2, (0b11, 0b11))] == 1   # nothing missing
+    assert sys012.beta[position(2, (0b01, 0b01))] == 0
 
 
 def test_initial_vector_matches_exhaustive_counts(sys012):
     dec = sys012.dec
     spec = dec.spec
     verts = lattice_vertices(spec, 4)
-    left = {s.eval(spec, 4) for s in dec.boundaries.left}
-    right = {s.eval(spec, 4) for s in dec.boundaries.right}
+    left, right = window_vertices(dec, 4)
     counts = [0] * 16
     for cover in enumerate_legal_covers(verts, sorted(lattice_edges(spec, 4)),
-                                        left, right):
-        counts[sys012.ordering.position(classify(dec, 4, cover))] += 1
+                                        set(left), set(right)):
+        counts[position(2, classify(dec, 4, cover))] += 1
     assert counts == sys012.t0
 
 
 def test_unbalanced_zero_counts_have_zero_initial(sys012):
-    ordering = sys012.ordering
-    for left in ordering.lefts:
-        for right in ordering.rights:
-            if left.count(0) != right.count(0):
-                pos = ordering.left_pos[left] * 4 + ordering.right_pos[right]
-                assert sys012.t0[pos] == 0
+    for left in range(4):
+        for right in range(4):
+            if left.bit_count() != right.bit_count():
+                assert sys012.t0[position(2, (left, right))] == 0
 
 
 def test_beta_dot_t0_equals_cover_count(sys012):
@@ -204,18 +210,16 @@ def test_weighted_alpha_is_rational():
 
 def test_scrambled_ordering_triggers_block_error():
     dec = _dec("0,1,2")
-    ordering = ClassOrdering(2)
-    # swap two right tuples across zero-count groups: the canonical order's
+    rights = right_order(2)
+    # swap two right masks across zero-count groups: the canonical order's
     # grouping is violated and the A-bar group check must notice
-    bad = ClassOrdering(2)
-    bad.rights = list(bad.rights)
-    bad.rights[0], bad.rights[1] = bad.rights[1], bad.rights[0]
-    bad.right_pos = {t: i for i, t in enumerate(bad.rights)}
-    a_bar, _ = build_alpha(dec, ordering)
+    bad = list(rights)
+    bad[0], bad[1] = bad[1], bad[0]
+    a_bar, _ = build_alpha(dec)
+    verify_block_structure(rights, a_bar)
     scrambled_a_bar = [[0] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(4):
-            scrambled_a_bar[bad.right_pos[ordering.rights[i]]][
-                bad.right_pos[ordering.rights[j]]] = a_bar[i][j]
+            scrambled_a_bar[bad.index(rights[i])][bad.index(rights[j])] = a_bar[i][j]
     with pytest.raises(BlockStructureError):
         verify_block_structure(bad, scrambled_a_bar)
