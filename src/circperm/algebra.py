@@ -4,15 +4,17 @@ Every asserted value is exact.  Characteristic polynomials are computed on
 ints: each block is scaled to an integer matrix, its characteristic
 polynomial is found mod 61-bit primes by Hessenberg reduction, and the
 residues are combined by CRT under a Hadamard bound on the coefficients.
-Annihilation is then checked exactly over ints.  Recurrences are fitted and
-evaluated on rationals (Fraction) or scaled ints, and real roots are
-isolated and bracketed on ints, so no float enters any reported value.
+Annihilation is then checked exactly over ints.  Recurrences are fitted
+mod the same primes, lifted to rationals and checked exactly on ints, and
+evaluated on scaled ints; real roots are isolated and bracketed on ints,
+so no float enters any reported value.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import AnnihilationError, InconsistencyError, NoRecurrenceError
@@ -150,6 +152,21 @@ def _char_poly_mod(m: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _norm(row: Sequence[int]) -> int:
+    """The Euclidean norm of an integer vector, rounded up."""
+    sq = sum(v * v for v in row)
+    norm = math.isqrt(sq)
+    return norm + (norm * norm < sq)
+
+
+def _lift(values: list[int], modulus: int, residues: list[int],
+          p: int) -> list[int]:
+    """Garner's CRT step: the values mod modulus * p that are `values` mod
+    `modulus` and `residues` mod the prime p."""
+    inv = pow(modulus, -1, p)
+    return [c + modulus * ((r - c) * inv % p) for c, r in zip(values, residues)]
+
+
 def char_poly(matrix: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - M), exact.
 
@@ -166,16 +183,11 @@ def char_poly(matrix: Matrix) -> Polynomial:
     m = [[int(v * scale) for v in row] for row in matrix]
     bound = 1
     for row in m:
-        sq = sum(v * v for v in row)
-        norm = math.isqrt(sq)
-        bound *= 1 + norm + (norm * norm < sq)
+        bound *= 1 + _norm(row)
     cs, modulus, i = [0] * (dim + 1), 1, 0
     while modulus <= 2 * bound + 1:
         p = _prime(i)
-        inv = pow(modulus, -1, p)
-        # Garner: lift cs (mod modulus) to the residues mod p
-        cs = [c + modulus * ((r - c) * inv % p)
-              for c, r in zip(cs, _char_poly_mod(m, p))]
+        cs = _lift(cs, modulus, _char_poly_mod(m, p), p)
         modulus, i = modulus * p, i + 1
     cs = [c - modulus if 2 * c > modulus else c for c in cs]
     return Polynomial(tuple(Fraction(c, scale ** (dim - k))
@@ -254,59 +266,189 @@ class Recurrence:
         return f"T(n) = {rhs}"
 
 
+class Massey:
+    """Berlekamp-Massey mod a prime (Massey 1969) over a list of terms that
+    may still grow: `read()` takes in every term appended since its last
+    call, in O(order) operations each.  `order` is then the length of the
+    shortest linear recurrence mod p that generates every term read, and
+    `conn` its connection polynomial (conn[0] = 1, length order + 1).  The
+    run uses `_prime(index)`, and moves to the next prime, starting over
+    from the first term, whenever p divides a term's denominator.
+    """
+
+    def __init__(self, terms: Sequence, index: int = 0):
+        self.terms = terms
+        self._start(index)
+
+    def _start(self, index: int) -> None:
+        self.index, self.p = index, _prime(index)
+        self.residues: list[int] = []
+        self.conn, self.prev = [1], [1]   # prev: conn before the last length change
+        self.order, self.gap, self.prev_disc = 0, 1, 1
+
+    def read(self) -> "Massey":
+        res, terms = self.residues, self.terms
+        while len(res) < len(terms):
+            p, t = self.p, terms[len(res)]
+            if type(t) is int:
+                u = t % p
+            elif t.denominator % p:
+                u = t.numerator * pow(t.denominator, -1, p) % p
+            else:
+                self._start(self.index + 1)
+                res = self.residues
+                continue
+            n, order, conn = len(res), self.order, self.conn
+            disc = (u + sum(map(mul, conn[1:], reversed(res[n - order:n])))) % p
+            res.append(u)
+            if disc == 0:
+                self.gap += 1
+                continue
+            f, gap, prev = disc * pow(self.prev_disc, -1, p) % p, self.gap, self.prev
+            grown = conn + [0] * (len(prev) + gap - len(conn))
+            grown[gap:gap + len(prev)] = [(a - f * b) % p
+                                          for a, b in zip(grown[gap:], prev)]
+            if 2 * order <= n:
+                self.prev, self.prev_disc = conn, disc
+                self.order, self.gap = n + 1 - order, 1
+            else:
+                self.gap += 1
+            self.conn = grown + [0] * (self.order + 1 - len(grown))
+        return self
+
+
+def _rational(u: int, m: int) -> Optional[Fraction]:
+    """The a/b = u mod m with |a| and b at most sqrt(m/2), which is unique
+    when it exists, or None (Wang 1981): the extended Euclidean algorithm on
+    m and u, stopped at the first remainder at most sqrt(m/2).  gcd(a, b) =
+    1 forces gcd(b, m) = 1."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _cleared(terms: Sequence) -> list[int]:
+    """The terms times the lcm of their denominators: the same recurrences."""
+    scale = math.lcm(*(t.denominator for t in terms))
+    return [t.numerator * (scale // t.denominator) for t in terms]
+
+
+def _generates(terms: Sequence, coeffs: list[Fraction]) -> bool:
+    """Whether T(n) = sum_j coeffs[j-1] T(n-j) at every n of the terms past
+    the first len(coeffs), checked on ints: the terms are cleared of their
+    denominators and the coefficients of theirs."""
+    r, u = len(coeffs), _cleared(terms)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    window = [c.numerator * (scale // c.denominator) for c in reversed(coeffs)]
+    return all(scale * u[n] == sum(map(mul, window, u[n - r:n]))
+               for n in range(r, len(u)))
+
+
+def _hankel_bound(terms: Sequence, size: int) -> int:
+    """A bound on |det| of every k x k matrix, k <= size, whose row i is
+    drawn from the cleared terms u_i..u_(i+size): Hadamard's product of
+    row norms, each at least 1.  That covers the Hankel matrices
+    (u_(i+j)) of order k and the ones Cramer's rule makes from them by
+    putting (u_k..u_(2k-1)) in a column."""
+    u = _cleared(terms[:2 * size])
+    bound = 1
+    for i in range(size):
+        bound *= max(1, _norm(u[i:i + size + 1]))
+    return bound
+
+
 def min_recurrence(terms: Sequence, base: int, bound: int) -> Recurrence:
     """The minimal exact linear recurrence of a sequence whose order is
-    known to be at most `bound`, from its first 2*bound terms or more.
+    known to be at most `bound`, from its first bound + r terms or more,
+    r being that order.
 
-    One Berlekamp-Massey pass over the rationals (Massey 1969) reads every
-    term in O(N^2) and keeps the shortest recurrence q, of order r, that
-    generates all N terms read so far.  That is a certificate, not a guess,
-    when the sequence obeys some recurrence p of order D <= bound (the
-    annihilator degree, or the transfer dimension by Cayley-Hamilton).
-    The residual R = q(E)T obeys p as well, since shift operators commute.
-    BM makes R vanish at the N - r indices where q fits inside the terms,
-    and with N >= 2*bound and r <= bound those are at least D consecutive
-    ones, so p carries the zeros forward and R = 0 everywhere: q generates
-    the whole sequence.  No recurrence shorter than r generates even the
-    prefix, so r is the sequence's minimal order, and as N >= 2r the
-    minimal recurrence of the prefix is unique.  A sequence of order at
-    most D has r <= D, so 2*bound terms always suffice.  An all-zero
-    sequence gets order 1 with coefficient 0.  Raises InconsistencyError
-    on fewer than 2*bound terms, and NoRecurrenceError when r exceeds the
-    bound, which a true bound rules out.
+    Berlekamp-Massey (`Massey`) runs mod 61-bit primes on all the given
+    terms, skipping a prime that divides a term's denominator.  Each run
+    gives an order r_p and coefficients mod p.  The runs of the largest
+    order seen are combined by CRT (a larger order starts afresh, a smaller
+    one is skipped), and after each one the coefficients are recovered as
+    rationals (`_rational`) and checked exactly, on ints, against the first
+    bound + r terms.  A check that passes certifies the recurrence q:
+
+    * Validity.  The sequence obeys some recurrence A of order D <= bound
+      (the annihilator degree, or the transfer dimension by Cayley-
+      Hamilton).  The residual R = q(E)T obeys A too, since shift operators
+      commute.  The check makes R vanish at the bound >= D consecutive
+      indices 0..bound-1, and A carries those zeros forward, so R = 0
+      everywhere: q generates the whole sequence.
+    * Minimality.  q comes from a residue mod a product of primes p of
+      order r_p = r, and its denominators are prime to them, so q is
+      p-integral, and so is every term, as q generates them all from
+      p-integral initials.  Then q mod p generates the whole reduced
+      sequence, whose linear complexity is therefore r_p, as no shorter
+      recurrence fits even the terms BM read.  A sequence of linear
+      complexity L has a nonsingular L x L Hankel matrix (u_(i+j)); this
+      one is nonsingular mod p, hence over Q, so the order over Q is at
+      least r_p.  q is minimal, and so unique: the reports cannot change.
+
+    Both hold for rational terms as well as integer ones.
+
+    When to stop adding primes.  Say the bound holds, at least bound + r
+    terms are given, and every term of the sequence is p-integral for each
+    prime used (so for integer sequences always).  Then q is p-integral
+    too: the generating function of the terms is P/C in lowest terms, with
+    C(x) = 1 - sum_j c_j x^j, and as a power series with p-integral
+    coefficients it converges on the p-adic open unit disc, where a root of
+    C would be one of P as well.  So C's inverse roots have p-adic size at
+    most 1, and its coefficients, their elementary symmetric functions, are
+    p-integral (Fatou's lemma, p-adically).  Hence no run has an order
+    above r, and a run mod a prime that does not divide the r x r Hankel
+    determinant has order r and q's residues, as BM's recurrence of that
+    length is unique on N >= 2r terms.  The primes of a smaller order all
+    divide that determinant.  Let H be the `_hankel_bound` of order
+    K = min(bound, N - bound) on the N given terms; as r <= K, it bounds
+    that determinant, and by Cramer's rule the numerators and denominators
+    of q's coefficients.  Once the CRT modulus of the runs of the largest
+    order exceeds 2 H^2, their primes cannot all divide the determinant,
+    so that order is r and the residues are q's, which `_rational`
+    recovers, and the check passes.  If it has not passed by then, the
+    premises fail: the bound is false or too few terms were given, and
+    NoRecurrenceError is raised.  It is raised at once when a run's order
+    exceeds the bound, and InconsistencyError when fewer than bound + r_p
+    terms are given, which under the premises is fewer than bound + r.
+
+    An all-zero sequence gets order 1 with coefficient 0.
     """
-    terms = [Fraction(t) if not isinstance(t, int) else t for t in terms]
-    if len(terms) < 2 * bound:
-        raise InconsistencyError(
-            f"need at least {2 * bound} terms, got {len(terms)}")
-    conn = [Fraction(1)]         # connection polynomial, conn[0] = 1
-    prev = [Fraction(1)]         # its value before the last length change
-    order, gap, prev_disc = 0, 1, Fraction(1)
-    for n, t in enumerate(terms):
-        disc = t + sum(conn[i] * terms[n - i]
-                       for i in range(1, min(len(conn), order + 1)) if conn[i])
-        if disc == 0:
-            gap += 1
+    count, group, modulus, index, hadamard = len(terms), -1, 1, 0, None
+    while True:
+        run = Massey(terms, index).read()
+        index, order, p = run.index + 1, run.order, run.p
+        if order > bound:
+            raise NoRecurrenceError(
+                f"no recurrence of order <= {bound} fits {count} terms")
+        if count < bound + order:
+            raise InconsistencyError(
+                f"need at least {bound + order} terms, got {count}")
+        if order < group:
             continue
-        f = Fraction(disc) / prev_disc     # the two may both be ints
-        grown = conn + [Fraction(0)] * max(0, len(prev) + gap - len(conn))
-        for i, v in enumerate(prev):
-            if v:
-                grown[i + gap] -= f * v
-        if 2 * order <= n:
-            prev, prev_disc = conn, disc
-            order, gap = n + 1 - order, 1
-        else:
-            gap += 1
-        conn = grown
-    conn += [Fraction(0)] * (order + 1 - len(conn))
-    coeffs = [-v for v in conn[1:order + 1]]
+        if order > group:
+            group, modulus, lifted = order, 1, [0] * order
+        lifted = _lift(lifted, modulus, [-c % p for c in run.conn[1:]], p)
+        modulus *= p
+        coeffs = [_rational(c, modulus) for c in lifted]
+        if None not in coeffs and _generates(terms[:bound + order], coeffs):
+            break
+        if hadamard is None:
+            hadamard = _hankel_bound(terms, min(bound, count - bound))
+        if modulus > 2 * hadamard ** 2:
+            raise NoRecurrenceError(
+                f"no recurrence of order <= {bound} is certified by "
+                f"{count} terms")
+    initials = tuple(t if isinstance(t, int) else Fraction(t)
+                     for t in terms[:max(order, 1)])
     if order == 0:
-        order, coeffs = 1, [Fraction(0)]
-    if order > bound:
-        raise NoRecurrenceError(
-            f"no recurrence of order <= {bound} fits {len(terms)} terms")
-    return Recurrence(order, tuple(coeffs), base, tuple(terms[:order]))
+        return Recurrence(1, (Fraction(0),), base, initials)
+    return Recurrence(order, tuple(coeffs), base, initials)
 
 
 def _mulmod(a: list[int], b: list[int], chi: list[int]) -> list[int]:

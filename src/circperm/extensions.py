@@ -301,7 +301,7 @@ def moments_derive(spec: CirculantSpec, i_max: int,
                 for orbits in completions for j in range(k)]
                for i in range(k)]
 
-    terms = iterate(rows, start, outputs, 2 * dim)
+    terms = iterate(rows, start, outputs, dim)
     recs = {i: min_recurrence(terms[i], model.n0, dim) for i in range(k)}
     return MomentsResult(spec, i_max, model.n0, len(index), recs)
 
@@ -357,7 +357,7 @@ def hamiltonian_derive(spec: CirculantSpec,
     tours = [sum(1 for o in orbits if o == 1) for orbits in completions] + [1]
     at_sink = [0] * sink + [1]
 
-    terms, sunk = iterate(rows, start, [tours, at_sink], 2 * (sink + 1))
+    terms, sunk = iterate(rows, start, [tours, at_sink], sink + 1)
     events = [(n, c) for n, c in enumerate(sunk, start=model.n0) if c]
     rec = min_recurrence(terms, model.n0, sink + 1)
     return HamiltonianResult(spec, model.n0, sink, rec, events)

@@ -68,7 +68,7 @@ def derive(spec: CirculantSpec) -> DeriveResult:
 
     cap = max(ann.degree, 1)
     t = time.perf_counter()
-    terms = sequence(system, system.n0 + 2 * cap - 1)
+    terms = sequence(system, cap)
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -101,7 +101,10 @@ def verify(spec: CirculantSpec, n_max: int,
     result = result or derive(spec)
     shift = result.normalized.trace.index_shift
     entries: list[VerificationEntry] = []
-    n_start = max(result.n0 - shift, 1 if spec.size(0) <= 0 else 0)
+    # the first index from n0 on with a matrix: size 0 has none, as in eval
+    n_start = max(result.n0 - shift, 0)
+    while spec.size(n_start) <= 0:
+        n_start += 1
     if n_max < n_start:
         raise InconsistencyError(
             f"nothing to verify up to n={n_max}: the first verifiable index "

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebra import DECIMALS, GrowthEstimate, Recurrence, eval_recurrence
+from .algebra import DECIMALS, GrowthEstimate, Recurrence
 from .circulant import CirculantSpec
 from .pipeline import DeriveResult, VerificationEntry
 
@@ -64,9 +64,13 @@ def recurrence_dict(rec: Recurrence) -> dict:
 
 
 def term_values(rec: Recurrence, count: int) -> list[str]:
-    """T(base), ..., T(base + count - 1), read from the recurrence."""
-    return [num_str(eval_recurrence(rec, n))
-            for n in range(rec.base, rec.base + count)]
+    """T(base), ..., T(base + count - 1): the initials, then the recurrence
+    run forward.  A term is an int or a Fraction as it comes, which
+    `num_str` prints alike when it is whole."""
+    vals = list(rec.initials[:count])
+    while len(vals) < count:
+        vals.append(sum(c * vals[-j] for j, c in enumerate(rec.coeffs, 1)))
+    return [num_str(v) for v in vals]
 
 
 def decimal_str(x: Fraction) -> str:

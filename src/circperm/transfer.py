@@ -30,8 +30,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Hashable, Iterator, Optional, Sequence
 
+from .algebra import Massey
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import (Decomposition, SymEdge, Vertex, lattice_edges,
                       lattice_vertices, row_last)
@@ -314,24 +316,42 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
 
 
 def iterate(rows: list[list[tuple[int, object]]], start: list,
-            outputs: list[list], steps: int) -> list[list]:
+            outputs: list[list], bound: int) -> list[list]:
     """The one transfer stepping loop: for each output vector o, the terms
-    o . v_k for k = 0..steps-1, where v_0 = `start` and v_{k+1}[i] is the sum
+    o . v_k for k = 0, 1, ..., where v_0 = `start` and v_{k+1}[i] is the sum
     of val * v_k[col] over the sparse pull row `rows[i]` of (col, val) pairs.
-    Exact on ints and Fractions alike."""
+    Exact on ints and Fractions alike.
+
+    `bound` is a proven bound on the order of every output's sequence.  The
+    loop stops once each output has bound + r terms, r its order so far by
+    Berlekamp-Massey mod a prime, which is what `min_recurrence` needs: for
+    a prime that divides no term's denominator r is at most the true
+    order, and once bound + r terms are read it no longer changes (its
+    residual vanishes on bound consecutive indices).  It stops as well on an
+    order above the bound, which `min_recurrence` refuses."""
     outs = [[(j, o) for j, o in enumerate(out) if o] for out in outputs]
+    # a row of int ones sums its columns, with no multiplication
+    pulls = [([j for j, _ in row],
+              None if all(type(v) is int and v == 1 for _, v in row)
+              else [v for _, v in row]) for row in rows]
     terms: list[list] = [[] for _ in outs]
+    fits = [Massey(ts) for ts in terms]
     vec = start
-    for k in range(steps):
-        if k:
-            vec = [sum(val * vec[j] for j, val in row) for row in rows]
+    while True:
         for out, ts in zip(outs, terms):
             ts.append(sum(o * vec[j] for j, o in out))
-    return terms
+        if all(len(fit.terms) >= bound + fit.read().order or fit.order > bound
+               for fit in fits):
+            return terms
+        get = vec.__getitem__
+        vec = [sum(map(get, cols)) if vals is None
+               else sum(map(mul, vals, map(get, cols))) for cols, vals in pulls]
 
 
-def sequence(system: TransferSystem, n_max: int) -> list:
-    """Exact T(n) for n = n0..n_max, iterating A-bar on T0 by block.
+def sequence(system: TransferSystem, bound: int) -> list:
+    """Exact T(n) for n = n0, n0 + 1, ..., iterating A-bar on T0 by block,
+    until `iterate` has the bound + r terms that `min_recurrence` needs for
+    a sequence of order r <= `bound`.
 
     Each left mask's slice of T0 is supported on the zero-count group
     matching its own popcount, so only that B_i ever acts on it: the nonzero
@@ -356,4 +376,4 @@ def sequence(system: TransferSystem, n_max: int) -> list:
                      for row in system.blocks[pc]]
             start += seg[lo:lo + size]
             beta += system.beta[left * nr + lo:left * nr + lo + size]
-    return iterate(rows, start, [beta], n_max - system.n0 + 1)[0]
+    return iterate(rows, start, [beta], bound)[0]

@@ -144,6 +144,22 @@ def test_verify_ok_exit_zero(capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("jumps, size, first", [
+    ("0,1n-1", "2n-2", 2),      # size 0 at n = 1, past the base n = 0 - 1
+    ("0,1n+0", "2n", 1),        # size 0 at n = 0, the base
+])
+def test_verify_starts_at_the_first_index_with_a_matrix(capsys, jumps, size,
+                                                        first):
+    """verify and eval agree on a size-0 index: there is no matrix there."""
+    code, out = run(capsys, "verify", "--jumps", jumps, "--size", size,
+                    "--n-max", "5", "--out", "json")
+    assert code == 0
+    assert json.loads(out)["verification"][0]["n"] == first
+    assert cli.main(["eval", "--jumps", jumps, "--size", size,
+                     "--n", str(first - 1)]) == 3
+    assert "size 0 is not positive" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(capsys):
     assert cli.main(["derive", "--jumps", "0,0"]) == 3
     assert cli.main(["derive", "--jumps", "0,1n+0"]) == 3

@@ -72,7 +72,7 @@ def test_linear_derive_matches_ryser(case):
     spec = parse_spec(*case)
     hypothesis.assume(decompose(normalize(spec)).slot_width <= 4)
     res = derive(spec)
-    # the first verifiable index, as `pipeline.verify` finds it
+    # from n0 on, a size-0 index included: the empty matrix has permanent 1
     n = max(res.n0 - res.normalized.trace.index_shift, 1 if spec.size(0) <= 0 else 0)
     for n in count(n):
         if spec.size(n) > 12:

@@ -12,6 +12,7 @@ from circperm.extensions import (SignedModel, _shift_coeff, hamiltonian_derive,
                                  moments_derive, moments_ratio)
 from circperm.oracle import brute_hamiltonian, enumerate_stats
 from circperm.pipeline import derive
+from circperm.transfer import iterate
 
 
 @pytest.mark.parametrize("jumps", ["0,1,2", "-1,0,1", "1,2", "-1,2", "-2,1", "0"])
@@ -184,3 +185,42 @@ def test_weighted_derive_unit_weights_identical(derived):
     unit = derive(parse_spec("0,1,2", weights="1,1,1"))
     assert list(map(Fraction, plain.recurrence.coeffs)) == list(unit.recurrence.coeffs)
     assert unit.recurrence.initials == plain.recurrence.initials
+
+
+def _steps(monkeypatch) -> list[int]:
+    """Record how many terms each `iterate` call of the engines steps."""
+    from circperm import extensions
+    seen = []
+
+    def counted(rows, start, outputs, bound):
+        terms = iterate(rows, start, outputs, bound)
+        seen.append(len(terms[0]))
+        return terms
+
+    monkeypatch.setattr(extensions, "iterate", counted)
+    return seen
+
+
+def test_moments_of_0_1_5_stop_at_the_bound_plus_the_order(monkeypatch):
+    """631 states and two moments make the bound 1262; the fit needs 1262
+    + 97 terms for TC_1, not the 2 * 1262 an order-blind stop would take."""
+    steps = _steps(monkeypatch)
+    spec = parse_spec("0,1,5")
+    res = moments_derive(spec, 1)
+    assert res.state_count == 631 and steps == [1262 + 97]
+    assert [res.recurrences[i].order for i in (0, 1)] == [27, 97]
+    for n in range(res.n0, Budget().enum_max_size + 1):
+        st = enumerate_stats(spec, n, 1)
+        assert [eval_recurrence(res.recurrences[i], n) for i in (0, 1)] == list(
+            st.moment_sums), n
+
+
+def test_hamiltonian_of_1_2_5_stops_at_the_bound_plus_the_order(monkeypatch):
+    steps = _steps(monkeypatch)
+    spec = parse_spec("1,2,5")
+    res = hamiltonian_derive(spec)
+    assert (res.state_count, res.recurrence.order) == (530, 62)
+    assert steps == [531 + 62]
+    assert res.lattice_cycle_events == []
+    for n in range(res.n0, Budget().enum_max_size + 1):
+        assert eval_recurrence(res.recurrence, n) == brute_hamiltonian(spec, n), n

@@ -223,3 +223,9 @@ def test_scrambled_ordering_triggers_block_error():
             scrambled_a_bar[bad.index(rights[i])][bad.index(rights[j])] = a_bar[i][j]
     with pytest.raises(BlockStructureError):
         verify_block_structure(bad, scrambled_a_bar)
+
+
+def test_sequence_stops_at_the_bound_plus_the_order(sys012):
+    # {0,1,2} has order 3: a bound of 3 needs 6 terms, a looser one more
+    assert sequence(sys012, 3) == [9, 13, 20, 31, 49, 78]
+    assert len(sequence(sys012, 10)) == 13
