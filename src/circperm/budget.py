@@ -1,4 +1,5 @@
-"""Budget caps for the brute-force oracles and augmented state spaces.
+"""Budget caps for the brute-force oracles, the transfer build and the
+augmented state spaces.
 
 Caps are configuration, not constants: exceeding one raises a clean error,
 never a silent truncation.  `Budget.with_bits` resizes the exponential-work
@@ -17,11 +18,13 @@ class Budget:
     enum_max_size: int = 20       # exhaustive cover enumeration: matrix size cap
     enum_max_jumps: int = 4       # exhaustive cover enumeration: jump count cap
     pairing_state_cap: int = 4096  # augmented (pairing x moment) dimension cap
+    transfer_max_width: int = 10  # transfer class width w: 4^w classes
 
     def with_bits(self, bits: int) -> "Budget":
         """Resize the exponential-work caps to `bits` bits of work."""
         if bits < 1:
             raise InconsistencyError(f"budget bits must be positive, got {bits}")
         return replace(self, ryser_max_dim=bits, enum_max_size=bits,
-                       pairing_state_cap=1 << min(bits, 24))
+                       pairing_state_cap=1 << min(bits, 24),
+                       transfer_max_width=bits // 2)
 

@@ -52,7 +52,7 @@ def _parse(args):
 
 
 def cmd_derive(args) -> int:
-    result = derive(_parse(args))
+    result = derive(_parse(args), _budget(args))
     if args.out == "json":
         print(render_json(derive_report(result)))
     else:
@@ -61,9 +61,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _parse(args)
-    result = derive(spec)
-    entries = verify(spec, args.n_max, _budget(args), result)
+    spec, budget = _parse(args), _budget(args)
+    result = derive(spec, budget)
+    entries = verify(spec, args.n_max, budget, result)
     if args.out == "json":
         print(render_json(derive_report(result, entries)))
     else:
@@ -72,13 +72,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spec = _parse(args)
+    spec, budget = _parse(args), _budget(args)
     jump_residues(spec, args.n)     # refuses sizes <= 0 and colliding jumps
-    result = derive(spec)
+    result = derive(spec, budget)
     if args.n + result.normalized.trace.index_shift < result.n0:
         # below the transfer base the recurrence is not known to hold
         value = ryser_permanent(adjacency_matrix(spec, args.n),
-                                max_dim=_budget(args).ryser_max_dim)
+                                max_dim=budget.ryser_max_dim)
     else:
         value = result.raw_term(args.n)
     if args.out == "json":
@@ -90,7 +90,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    result = derive(_parse(args))
+    result = derive(_parse(args), _budget(args))
     g = result.growth
     if args.out == "json":
         print(render_json({"schema": SCHEMA, "spec": spec_dict(result.spec),

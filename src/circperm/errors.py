@@ -31,7 +31,8 @@ class NoRecurrenceError(CircPermError):
 
 
 class SizeCapError(CircPermError):
-    """An oracle was asked to exceed its configured budget."""
+    """An oracle or the transfer build was asked to exceed its configured
+    budget."""
 
 
 class StateBudgetError(CircPermError):

@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import Recurrence, eval_recurrence, min_recurrence
 from .budget import Budget
 from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
-from .lattice import decompose
-from .transfer import enumerate_legal_covers, iterate
+from .lattice import check_width, decompose
+from .transfer import iterate
 
 Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
 # A pairing-transfer state: its open paths as (start slot, end slot).  An
@@ -37,12 +37,62 @@ Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
 Pairing = frozenset[tuple[Slot, Slot]]
 
 
+def enumerate_legal_covers(vertices: Sequence[Hashable],
+                           edges: Sequence[tuple],
+                           in_free: set, out_free: set) -> Iterator[tuple]:
+    """All edge subsets that are legal covers: degrees <= 1 everywhere,
+    in-degree 1 off `in_free`, out-degree 1 off `out_free`.
+
+    Edges are (tail, head, payload) triples; yields tuples of edges.
+    `SignedModel.initial_covers` seeds the pairing states at the base size
+    with them.
+    """
+    order = {v: i for i, v in enumerate(vertices)}
+    out_edges: dict = {v: [] for v in vertices}
+    last_tail: dict = {}
+    for e in edges:
+        tail, head = e[0], e[1]
+        out_edges[tail].append(e)
+        pos = order[tail]
+        last_tail[head] = max(last_tail.get(head, -1), pos)
+
+    nv = len(vertices)
+    deadline: list[list] = [[] for _ in range(nv + 1)]
+    for v in vertices:
+        if v not in in_free:
+            deadline[last_tail.get(v, -1) + 1].append(v)
+
+    chosen: list = []
+    covered: set = set()
+
+    def rec(idx: int) -> Iterator[tuple]:
+        for v in deadline[idx]:
+            if v not in covered:
+                return
+        if idx == nv:
+            yield tuple(chosen)
+            return
+        v = vertices[idx]
+        for e in out_edges[v]:
+            if e[1] not in covered:
+                covered.add(e[1])
+                chosen.append(e)
+                yield from rec(idx + 1)
+                chosen.pop()
+                covered.remove(e[1])
+        if v in out_free:
+            yield from rec(idx + 1)
+
+    yield from rec(0)
+
+
 class SignedModel:
     """Transition/completion machinery for one raw constant-jump set."""
 
-    def __init__(self, spec: CirculantSpec, analysis: str):
+    def __init__(self, spec: CirculantSpec, analysis: str, budget: Budget):
         """`analysis` names what is derived ("cycle moments", ...) in the
-        refusal of a weighted spec."""
+        refusal of a weighted spec; a window wider than the budget's
+        transfer width cap is refused before any lattice is built."""
         if not spec.constant:
             raise InconsistencyError("raw-jump analyses need a constant-jump spec")
         if not spec.trace.trivial:
@@ -55,6 +105,7 @@ class SignedModel:
             raise InconsistencyError("need at least one non-negative jump")
         self.spec = spec
         self.jumps = jumps
+        check_width(spec, budget.transfer_max_width, spec.describe())
         dec = decompose(spec)
         self.s_plus, self.s_minus, self.n0 = dec.s_plus, dec.s_minus, dec.n0
         self.in_jumps = sorted(t for t in jumps if t >= 0)
@@ -200,6 +251,32 @@ class SignedModel:
 
     # -- initialization ----------------------------------------------------
 
+    def seed_counts(self, max_states: int, what: str,
+                    tours: bool = False) -> dict[tuple[Pairing, int], int]:
+        """The legal covers of the base lattice, folded into counts per
+        (pairing, closed-cycle count) as they are enumerated, in order of
+        first appearance.  A cover whose pairing is the max_states + 1-th
+        one raises StateBudgetError(`what`) at once, before the rest are
+        enumerated.  With `tours` only the covers that closed no cycle are
+        states; one that closed a single cycle and left no open path is
+        kept under (empty pairing, 1) without counting as a state, and
+        every other cover is dropped."""
+        counts: dict[tuple[Pairing, int], int] = {}
+        pairings: set[Pairing] = set()
+        for key in self.initial_covers():
+            pairing, closed = key
+            if tours and closed:
+                if closed == 1 and not pairing:
+                    counts[key] = counts.get(key, 0) + 1
+                continue
+            if pairing not in pairings:
+                if len(pairings) >= max_states:
+                    raise StateBudgetError(
+                        f"{what}: more than {max_states} pairing states reachable")
+                pairings.add(pairing)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
     def initial_covers(self):
         """Legal covers of the base lattice as (pairing, closed-cycle count),
         by exhaustive enumeration."""
@@ -282,18 +359,19 @@ def moments_derive(spec: CirculantSpec, i_max: int,
     constant-jump spec, via the pairing-augmented transfer."""
     if i_max < 0:
         raise InconsistencyError(f"moment order must be >= 0, got {i_max}")
-    model = SignedModel(spec, "cycle moments")
-    covers = list(model.initial_covers())
+    model = SignedModel(spec, "cycle moments", budget)
     k = i_max + 1
+    cap = budget.pairing_state_cap // k
+    what = f"augmented dimension states*{k} exceeds cap {budget.pairing_state_cap}"
+    covers = model.seed_counts(cap, what)
     index, edges, completions = model.walk(
-        (st for st, _ in covers), budget.pairing_state_cap // k,
-        f"augmented dimension states*{k} exceeds cap {budget.pairing_state_cap}")
+        (st for st, _ in covers), cap, what)
     dim = len(index) * k          # the (state, j) pairs and the order cap
 
     start = [0] * dim
-    for state, closed in covers:
+    for (state, closed), count in covers.items():
         for t in range(k):
-            start[index[state] * k + t] += closed ** t
+            start[index[state] * k + t] += count * closed ** t
     rows = _pull_rows(((dst * k + t, src * k + j, _shift_coeff(t, j, c))
                        for src, dst, c in edges
                        for t in range(k) for j in range(t + 1)), dim)
@@ -335,21 +413,21 @@ def hamiltonian_derive(spec: CirculantSpec,
     """Recurrence for the number of Hamiltonian cycles, via the cycle-free
     (legal tour) pairing transfer; acceptance requires the hook gluing to
     form a single orbit covering every path."""
-    model = SignedModel(spec, "Hamiltonian cycle counts")
-    covers = list(model.initial_covers())
+    model = SignedModel(spec, "Hamiltonian cycle counts", budget)
+    cap = budget.pairing_state_cap - 1
+    what = f"tour state count states+1 exceeds cap {budget.pairing_state_cap}"
+    covers = model.seed_counts(cap, what, tours=True)
+    # one cycle and no open path: all degrees complete, straight to the sink
+    whole = covers.pop((frozenset(), 1), 0)
     index, edges, completions = model.walk(
-        (st for st, closed in covers if closed == 0),
-        budget.pairing_state_cap - 1,
-        f"tour state count states+1 exceeds cap {budget.pairing_state_cap}")
+        (st for st, _ in covers), cap, what)
     states = list(index)
     sink = len(states)            # tours that closed over all of L_n
 
     start = [0] * (sink + 1)
-    for state, closed in covers:
-        if closed == 0:
-            start[index[state]] += 1
-        elif closed == 1 and not state:   # no open path: all degrees complete
-            start[sink] += 1
+    for (state, _), count in covers.items():
+        start[index[state]] += count
+    start[sink] = whole
     # a step that closes a cycle keeps a tour only if no open path is left
     rows = _pull_rows(((dst if closed == 0 else sink, src, 1)
                        for src, dst, closed in edges

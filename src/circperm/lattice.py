@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .circulant import CirculantSpec
-from .errors import InconsistencyError
+from .errors import InconsistencyError, SizeCapError
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex, int]       # (tail, head, jump index)
@@ -153,6 +153,32 @@ def _symbolize_edges(spec: CirculantSpec, n: int, edges: Iterable[Edge],
     return frozenset(out)
 
 
+def _widths(spec: CirculantSpec) -> tuple[int, int, int]:
+    """(s+, s-, bar_s): the largest forward and backward offsets and the
+    structural boundary width, from the jumps alone."""
+    offsets = [s for _, s in spec.jumps]
+    s_plus = max(max((s for s in offsets if s >= 0), default=0), 0)
+    s_minus = max((-s for s in offsets if s < 0), default=0)
+    if spec.constant:
+        return s_plus, s_minus, s_plus + s_minus
+    if s_minus:
+        raise InconsistencyError("linear decomposition requires offsets >= 0 "
+                                 "(normalize the spec first)")
+    if any(s < spec.size_offset for s in offsets):
+        raise InconsistencyError("linear decomposition requires s_i >= s "
+                                 "(normalize the spec first)")
+    return s_plus, s_minus, s_plus
+
+
+def check_width(spec: CirculantSpec, cap: int, name: str) -> None:
+    """Refuse a spec whose class width w = p*bar_s exceeds `cap`, with
+    SizeCapError naming `name`, w and the cap.  Read from the jumps alone,
+    before any lattice is evaluated or anything of size 2^w is built."""
+    w = spec.size_coeff * _widths(spec)[2]
+    if w > cap:
+        raise SizeCapError(f"{name}: transfer width w = {w} exceeds cap {cap}")
+
+
 def decompose(spec: CirculantSpec, check_span: int = 2) -> Decomposition:
     """Derive Hook(n), New(n) and the boundary windows, symbolically.
 
@@ -160,19 +186,7 @@ def decompose(spec: CirculantSpec, check_span: int = 2) -> Decomposition:
     diffing; stability is asserted over `check_span` further values, which
     is what makes the n-independence claim checked rather than assumed.
     """
-    offsets = [s for _, s in spec.jumps]
-    s_plus = max(max((s for s in offsets if s >= 0), default=0), 0)
-    s_minus = max((-s for s in offsets if s < 0), default=0)
-    if spec.constant:
-        bar_s = s_plus + s_minus
-    else:
-        if s_minus:
-            raise InconsistencyError("linear decomposition requires offsets >= 0 "
-                                     "(normalize the spec first)")
-        if any(s < spec.size_offset for s in offsets):
-            raise InconsistencyError("linear decomposition requires s_i >= s "
-                                     "(normalize the spec first)")
-        bar_s = s_plus
+    s_plus, s_minus, bar_s = _widths(spec)
     n0 = 2 * bar_s
     width = max(s_plus, s_minus)
     n_eval = max(n0, 1)

@@ -107,9 +107,9 @@ def enumerate_stats(spec: CirculantSpec, n: int, i_max: int = 0,
     edge row -> col either closes the path that runs from col to row (one
     more cycle) or joins two paths, in O(1) either way.
 
-    This shares no code with the lattice and transfer census
-    (`transfer.enumerate_legal_covers`): the oracle checks that pipeline,
-    so it must not inherit its mistakes.
+    This shares no code with the transfer census (`transfer.census`) or
+    the pairing engines' seed enumeration (`extensions`): the oracle checks
+    those pipelines, so it must not inherit their mistakes.
     """
     size = spec.size(n)
     if size > budget.enum_max_size:

@@ -14,7 +14,7 @@ from .budget import Budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize
 from .errors import (AnnihilationError, CollisionError, InconsistencyError,
                      SizeCapError)
-from .lattice import decompose
+from .lattice import check_width, decompose
 from .oracle import enumerate_stats, ryser_permanent
 from .transfer import TransferSystem, build_transfer_system, sequence
 
@@ -42,16 +42,19 @@ class DeriveResult:
         return self.term(n_raw + self.normalized.trace.index_shift)
 
 
-def derive(spec: CirculantSpec) -> DeriveResult:
+def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
     """Run the full pipeline on a (possibly raw) spec.
 
     Works for constant and linear jumps, weighted or not.  Raw-jump analyses
     that are not shift-invariant (cycle moments, Hamiltonian counting) live
-    in `extensions`, not here.
+    in `extensions`, not here.  A spec whose transfer width w exceeds
+    `budget.transfer_max_width` is refused with SizeCapError before any
+    lattice is evaluated or anything of size 2^w is built.
     """
     timings: dict[str, float] = {}
     t = time.perf_counter()
     norm = normalize(spec)
+    check_width(norm, budget.transfer_max_width, spec.describe())
     dec = decompose(norm)
     timings["decompose"] = time.perf_counter() - t
 
@@ -98,7 +101,7 @@ def verify(spec: CirculantSpec, n_max: int,
            result: Optional[DeriveResult] = None) -> list[VerificationEntry]:
     """Compare recurrence values against both oracles for every raw n up to
     n_max that fits the budget; entries record both values either way."""
-    result = result or derive(spec)
+    result = result or derive(spec, budget)
     shift = result.normalized.trace.index_shift
     entries: list[VerificationEntry] = []
     # the first index from n0 on with a matrix: size 0 has none, as in eval

@@ -15,14 +15,23 @@ lexicographic order of the worked example.
 
 The full transfer matrix A is diag(A-bar, ..., A-bar) with one copy per left
 mask, because extension never touches the left window, so only A-bar is
-stored.  T0 is a census of the legal covers of L_{n0}, bucketed by class,
-and A-bar is checked against a second census at n0+1: applied to each left
-mask's slice of T0 it must give that census.  A-bar itself is block
-diagonal in the zero-count groups B_i, which is both the degree-bound
-argument and the work-saver: each left mask's slice of T0 only ever meets
-its own B_i.  `iterate` is the package's one stepping loop (sparse pull
-rows, a start vector and output vectors in, one term list per output out);
-`sequence` and the pairing transfers of `extensions` both feed it.
+stored.  T0 is a census of the legal covers of L_{n0} per class, and
+A-bar is checked against a second census at n0+1: applied, as sparse rows,
+to each left mask's slice of T0 it must give that census.  The census
+never lists covers: it is a transfer of its own inside the lattice, a
+dynamic programme over the tails whose state is the covered heads a later
+tail can still reach plus the two masks, so its cost follows its states,
+not its covers.  A-bar itself is block diagonal in the zero-count groups
+B_i, which is both the degree-bound argument and the work-saver: each left
+mask's slice of T0 only ever meets its own B_i.  `iterate` is the
+package's one stepping loop (sparse pull rows, a start vector and output
+vectors in, one term list per output out); `sequence` and the pairing
+transfers of `extensions` both feed it.
+
+Rational weights never reach an inner loop: the census, the A-bar check
+and `sequence` scale their entries to ints by the lcm of the denominators
+and divide the scale out once per result, an int when the quotient is
+integral, else a Fraction.
 """
 from __future__ import annotations
 
@@ -31,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import Massey
 from .errors import BlockStructureError, InconsistencyError
@@ -197,87 +206,101 @@ def build_beta(dec: Decomposition) -> list:
     return beta
 
 
-def enumerate_legal_covers(vertices: Sequence[Hashable],
-                           edges: Sequence[tuple],
-                           in_free: set, out_free: set) -> Iterator[tuple]:
-    """All edge subsets that are legal covers: degrees <= 1 everywhere,
-    in-degree 1 off `in_free`, out-degree 1 off `out_free`.
-
-    Edges are (tail, head, payload) triples; yields tuples of edges.  The
-    census below counts them, and `extensions` seeds its pairing states at
-    the base size with them.
-    """
-    order = {v: i for i, v in enumerate(vertices)}
-    out_edges: dict = {v: [] for v in vertices}
-    last_tail: dict = {}
-    for e in edges:
-        tail, head = e[0], e[1]
-        out_edges[tail].append(e)
-        pos = order[tail]
-        last_tail[head] = max(last_tail.get(head, -1), pos)
-
-    nv = len(vertices)
-    deadline: list[list] = [[] for _ in range(nv + 1)]
-    for v in vertices:
-        if v not in in_free:
-            deadline[last_tail.get(v, -1) + 1].append(v)
-
-    chosen: list = []
-    covered: set = set()
-
-    def rec(idx: int) -> Iterator[tuple]:
-        for v in deadline[idx]:
-            if v not in covered:
-                return
-        if idx == nv:
-            yield tuple(chosen)
-            return
-        v = vertices[idx]
-        for e in out_edges[v]:
-            if e[1] not in covered:
-                covered.add(e[1])
-                chosen.append(e)
-                yield from rec(idx + 1)
-                chosen.pop()
-                covered.remove(e[1])
-        if v in out_free:
-            yield from rec(idx + 1)
-
-    yield from rec(0)
+def _exact(t: int, den: int):
+    """t / den, an int when integral, else a Fraction."""
+    return t // den if t % den == 0 else Fraction(t, den)
 
 
-def _bucketer(w: int, left: list, right: list):
-    """cover -> canonical position of its class, for legal covers with
-    window vertices `left` and `right` in slot order, read from those
-    vertices' degrees alone: a left bit is set by an edge into that vertex,
-    a right bit by an edge out of it.  Legality is the enumeration's
-    guarantee."""
-    lbit = {v: 1 << i for i, v in enumerate(left)}
-    rbit = {v: 1 << i for i, v in enumerate(right)}
-    right_at = _positions(right_order(w))
+def _to_ints(values: list) -> tuple[list[int], int]:
+    """(values * D, D) for D the lcm of the values' denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
-    def bucket(cover) -> int:
-        lmask = rmask = 0
-        for tail, head, _ in cover:
-            lmask |= lbit.get(head, 0)
-            rmask |= rbit.get(tail, 0)
-        return (lmask << w) + right_at[rmask]
-    return bucket
+
+def _int_rows(rows: list[list[tuple]]) -> tuple[list[list[tuple]], int]:
+    """Sparse (col, val) rows scaled to ints by the lcm D of the values'
+    denominators, and D."""
+    d = math.lcm(*(v.denominator for row in rows for _, v in row))
+    return [[(j, v.numerator * (d // v.denominator)) for j, v in row]
+            for row in rows], d
 
 
 def census(dec: Decomposition, n: int) -> list:
     """(Weighted) count of legal covers of L_n per class, in canonical
-    order: one enumeration, each cover weighted by the product of its jump
-    weights and added to its class's bucket."""
-    spec = dec.spec
+    order, by a dynamic programme over the tails.
+
+    Tails are taken in column order, the lattice vertices sorted by (v, u),
+    so every lattice edge stays within a bounded column window, linear rows
+    included.  A state is (the covered heads that a later tail can still
+    reach, the left mask, the right mask), mapped to the weighted count of
+    the partial covers that reach it.  A tail takes one of its out-edges
+    into an uncovered head, or, in the right window only, none, which is
+    its right bit.  A head retires after its last tail: uncovered outside
+    the left window, the state dies; covered inside it, its left bit is set.
+
+    Weights are scaled by L, the lcm of their denominators, so the sums run
+    on ints.  From n0 on the windows are w distinct vertices of L_n, so a
+    cover of class (left, right) has |V| - w + popcount(right) edges, and
+    each class is divided by L to that power once, at the end: an int when
+    integral, else a Fraction.
+    """
+    spec, w = dec.spec, dec.slot_width
     left, right = window_vertices(dec, n)
-    bucket = _bucketer(dec.slot_width, left, right)
-    weight = [spec.weight(i) for i in range(len(spec.jumps))]
-    counts = [0] * (1 << 2 * dec.slot_width)
-    for cover in enumerate_legal_covers(lattice_vertices(spec, n),
-                                        sorted(lattice_edges(spec, n)),
-                                        set(left), set(right)):
-        counts[bucket(cover)] += math.prod(weight[idx] for _, _, idx in cover)
+    verts = sorted(lattice_vertices(spec, n), key=lambda v: (v[1], v[0]))
+    nv = len(verts)
+    at = {v: i for i, v in enumerate(verts)}
+    # key bits: covered heads by vertex index, then left, then right slots
+    lbit = {at[v]: 1 << nv + i for i, v in enumerate(left)}
+    rbit = {at[v]: 1 << nv + w + i for i, v in enumerate(right)}
+    scaled, scale = _to_ints([spec.weight(i) for i in range(len(spec.jumps))])
+    counts = [0] * (1 << 2 * w)
+    out: list[list] = [[] for _ in verts]
+    last = [-1] * nv                 # last[h]: the last tail into head h
+    for tail, head, idx in sorted(lattice_edges(spec, n)):
+        t, h = at[tail], at[head]
+        out[t].append((1 << h, scaled[idx]))
+        last[h] = max(last[h], t)
+    done = [0] * nv                  # heads retiring after tail t
+    must = [0] * nv                  # ... of which outside the left window
+    lefts: list[list] = [[] for _ in verts]  # ... inside it, with left bits
+    for h in range(nv):
+        if last[h] < 0:
+            if h not in lbit:
+                return counts        # a head no edge reaches: no cover
+            continue
+        done[last[h]] |= 1 << h
+        if h in lbit:
+            lefts[last[h]].append((1 << h, lbit[h]))
+        else:
+            must[last[h]] |= 1 << h
+
+    states = {0: 1}
+    for t in range(nv):
+        d, m, ls, rb = done[t], must[t], lefts[t], rbit.get(t, 0)
+        moves = [(hb, hb | rb, wt) for hb, wt in out[t]]
+        step: dict[int, int] = {}
+        for key, val in states.items():
+            nexts = [(key | add, val * wt) for hb, add, wt in moves
+                     if not key & hb]
+            if rb:
+                nexts.append((key, val))
+            for nk, v in nexts:
+                if nk & m != m:
+                    continue
+                for hb, lb in ls:
+                    if nk & hb:
+                        nk |= lb
+                nk &= ~d
+                step[nk] = step.get(nk, 0) + v
+        states = step
+
+    right_at = _positions(right_order(w))
+    fixed = nv - w                   # tails that must take an out-edge
+    for key, val in states.items():
+        lmask, rmask = key >> nv & (1 << w) - 1, key >> nv + w
+        if scale != 1:
+            val = _exact(val, scale ** (fixed + rmask.bit_count()))
+        counts[(lmask << w) + right_at[rmask]] = val
     return counts
 
 
@@ -295,10 +318,14 @@ def verify_against_census(dec: Decomposition, a_bar: list[list],
     slot bits.  Only the columns of A-bar that T0 reaches are tested."""
     w = dec.slot_width
     n, nr = dec.n0 + 1, 1 << w
+    # A-bar's nonzeros as sparse rows, scaled to ints by D
+    rows, d = _int_rows([[(j, v) for j, v in enumerate(row) if v]
+                         for row in a_bar])
     for pos, want in enumerate(census(dec, n)):
         lo, i = pos - pos % nr, pos % nr
-        got = sum(v * x for v, x in zip(a_bar[i], t0[lo:lo + nr]) if v and x)
-        if got != want:
+        got = sum(v * t0[lo + j] for j, v in rows[i])
+        if got != want * d:
+            got = Fraction(got, d)
             left, right = pos // nr, right_order(w)[i]
             bits = "|".join("".join(str(m >> k & 1) for k in range(w))
                             for m in (left, right))
@@ -316,11 +343,15 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
 
 
 def iterate(rows: list[list[tuple[int, object]]], start: list,
-            outputs: list[list], bound: int) -> list[list]:
+            outputs: list[list], bound: int,
+            scale: tuple[int, int] = (1, 1)) -> list[list]:
     """The one transfer stepping loop: for each output vector o, the terms
-    o . v_k for k = 0, 1, ..., where v_0 = `start` and v_{k+1}[i] is the sum
-    of val * v_k[col] over the sparse pull row `rows[i]` of (col, val) pairs.
-    Exact on ints and Fractions alike.
+    o . v_k / (c d^k) for k = 0, 1, ..., where (c, d) = `scale`, v_0 =
+    `start` and v_{k+1}[i] is the sum of val * v_k[col] over the sparse pull
+    row `rows[i]` of (col, val) pairs.  A caller with rational entries
+    scales them to ints, so that the vectors step on ints, and passes the
+    scale here: each term is divided once, an int when integral, else a
+    Fraction.
 
     `bound` is a proven bound on the order of every output's sequence.  The
     loop stops once each output has bound + r terms, r its order so far by
@@ -336,16 +367,18 @@ def iterate(rows: list[list[tuple[int, object]]], start: list,
               else [v for _, v in row]) for row in rows]
     terms: list[list] = [[] for _ in outs]
     fits = [Massey(ts) for ts in terms]
-    vec = start
+    vec, den, step = start, *scale
     while True:
         for out, ts in zip(outs, terms):
-            ts.append(sum(o * vec[j] for j, o in out))
+            t = sum(o * vec[j] for j, o in out)
+            ts.append(t if den == 1 else _exact(t, den))
         if all(len(fit.terms) >= bound + fit.read().order or fit.order > bound
                for fit in fits):
             return terms
         get = vec.__getitem__
         vec = [sum(map(get, cols)) if vals is None
                else sum(map(mul, vals, map(get, cols))) for cols, vals in pulls]
+        den *= step
 
 
 def sequence(system: TransferSystem, bound: int) -> list:
@@ -355,7 +388,10 @@ def sequence(system: TransferSystem, bound: int) -> list:
 
     Each left mask's slice of T0 is supported on the zero-count group
     matching its own popcount, so only that B_i ever acts on it: the nonzero
-    slices become one block-diagonal system with beta as its output.
+    slices become one block-diagonal system with beta as its output.  The
+    system's rows are scaled by the lcm D of their denominators, T0 by D0
+    and beta by Db, so the vectors step on ints; `iterate` divides term k
+    by D0 Db D^k.
     """
     w = system.w
     nr = 1 << w
@@ -376,4 +412,7 @@ def sequence(system: TransferSystem, bound: int) -> list:
                      for row in system.blocks[pc]]
             start += seg[lo:lo + size]
             beta += system.beta[left * nr + lo:left * nr + lo + size]
-    return iterate(rows, start, [beta], bound)[0]
+    rows, d = _int_rows(rows)
+    start, d0 = _to_ints(start)
+    beta, db = _to_ints(beta)
+    return iterate(rows, start, [beta], bound, (d0 * db, d))[0]

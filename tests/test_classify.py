@@ -3,9 +3,9 @@ and exhaustive representative-independence against direct recomputation on
 concrete covers.
 
 A class is a (left mask, right mask) pair, slot i at bit i.  `extend`,
-`completes`, `enumerate_classifications` and `classify` below are
-references that only the tests use; `test_transfer` imports `classify` and
-`position` from here."""
+`completes`, `enumerate_classifications`, `classify` and `cover_census`
+below are references that only the tests use; `test_transfer` and
+`test_census_property` import them from here."""
 from itertools import combinations, product
 from typing import Iterable, Optional
 
@@ -15,10 +15,9 @@ from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError
 from circperm.lattice import (Decomposition, Edge, SymEdge, decompose,
                               lattice_edges, lattice_vertices)
-from circperm.transfer import (_bucketer, _group_span,
-                               enumerate_legal_covers, extend_right,
-                               new_edge_choices, right_order, slot,
-                               window_vertices)
+from circperm.extensions import enumerate_legal_covers
+from circperm.transfer import (_group_span, extend_right, new_edge_choices,
+                               right_order, slot, window_vertices)
 from test_lattice import concrete_edge
 
 Class = tuple[int, int]
@@ -92,6 +91,22 @@ def classify(dec: Decomposition, n: int, edges: Iterable[Edge]) -> Optional[Clas
             sum(outdeg[v] << i for i, v in enumerate(right)))
 
 
+def cover_census(dec: Decomposition, n: int) -> list:
+    """Reference for `transfer.census`: every legal cover of L_n, listed
+    one by one, weighted by the product of its jump weights and added to
+    the bucket of its class as `classify` finds it."""
+    spec, w = dec.spec, dec.slot_width
+    left, right = window_vertices(dec, n)
+    counts = [0] * (1 << 2 * w)
+    for cover in enumerate_legal_covers(
+            lattice_vertices(spec, n), sorted(lattice_edges(spec, n)),
+            set(left), set(right)):
+        weight = 1
+        for _, _, idx in cover:
+            weight *= spec.weight(idx)
+        counts[position(w, classify(dec, n, cover))] += weight
+    return counts
+
 
 def _dec(jumps, size=None):
     return decompose(normalize(parse_spec(jumps, size)))
@@ -128,8 +143,10 @@ def test_ordering_is_consistent_and_deterministic():
 def test_key_packing_little_endian():
     """An edge into left slot 0 and one out of right slot 1 give left mask
     0b01 and right mask 0b10, which sits at right position 1."""
-    bucket = _bucketer(2, ["l0", "l1"], ["r0", "r1"])
-    assert bucket([("x", "l0", 0), ("r1", "y", 0)]) == (0b01 << 2) + 1
+    dec = _dec("0,1,2")
+    # L_4: left slots 0, 1 are (0,0), (0,1); right slots 0, 1 are (0,3), (0,2)
+    cover = [((0, 0), (0, 0), 0), ((0, 1), (0, 2), 1), ((0, 2), (0, 3), 1)]
+    assert classify(dec, 4, cover) == (0b01, 0b10)
     assert position(2, (0b01, 0b10)) == 5
 
 

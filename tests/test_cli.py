@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -171,6 +172,65 @@ def test_exit_code_budget(capsys):
     # oracle caps of 3 bits leave verify nothing to check
     assert cli.main(["verify", "--jumps", "0,1,2", "--n-max", "10",
                      "--budget-bits", "3"]) == 2
+
+
+def _refusal(capsys, argv, seconds):
+    """Exit code and stderr of a run that must end within `seconds`."""
+    start = perf_counter()
+    code = cli.main(argv)       # an escaping exception fails the test
+    assert perf_counter() - start < seconds, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    return code, captured.err
+
+
+@pytest.mark.parametrize("command, jumps, w", [
+    ("derive", "0,1,30", 30), ("derive", "0,99999999999", 99999999999),
+    ("growth", "0,1,30", 30), ("moments", "0,1,600", 600),
+    ("hamiltonian", "-600,1", 601),
+])
+def test_a_wide_transfer_is_refused_before_it_is_built(capsys, command,
+                                                       jumps, w):
+    # w = 30 would need 4^30 classes, and a base lattice of 1200 vertices
+    # overran the seed enumeration's recursion: the cap is read from the
+    # jumps alone
+    code, err = _refusal(capsys, [command, "--jumps", jumps], 1)
+    assert code == 2
+    assert err == (f"budget exceeded: C_n^{{{jumps}}}: transfer width "
+                   f"w = {w} exceeds cap 10\n")
+
+
+def test_budget_bits_resize_the_transfer_width_cap(capsys):
+    # 5 bits admit w = 2, 3 bits do not
+    assert cli.main(["growth", "--jumps", "0,1,2", "--budget-bits", "5"]) == 0
+    capsys.readouterr()
+    code, err = _refusal(capsys, ["eval", "--jumps", "0,1,2", "--n", "9",
+                                  "--budget-bits", "3"], 1)
+    assert code == 2 and err.endswith("w = 2 exceeds cap 1\n")
+
+
+def test_hamiltonian_refuses_while_it_seeds(capsys):
+    # 1.5 million base covers, but more than 4095 tour states after the
+    # first ~86 000: the refusal comes during the enumeration
+    code, err = _refusal(capsys, ["hamiltonian", "--jumps", "1,2,3,4,5,6,7"],
+                         15)
+    assert code == 2
+    assert err == ("budget exceeded: tour state count states+1 exceeds cap "
+                   "4096: more than 4095 pairing states reachable\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--jumps", "0,1,2"], ["growth", "--jumps", "0,1,2"],
+    ["eval", "--jumps", "0,1,2", "--n", "9"],
+    ["verify", "--jumps", "0,1,2", "--n-max", "8"],
+    ["moments", "--jumps", "-1,0,1"], ["hamiltonian", "--jumps", "1,2"],
+    ["--corpus"],
+], ids=lambda argv: argv[0].strip("-"))
+def test_budget_bits_zero_exits_3_on_every_subcommand(capsys, argv):
+    code, err = _refusal(capsys, argv + ["--budget-bits", "0"], 5)
+    assert code == 3
+    assert err == "error: budget bits must be positive, got 0\n"
 
 
 @pytest.mark.parametrize("bits, refusal", [

@@ -9,11 +9,12 @@ from circperm.circulant import adjacency_matrix, normalize, parse_spec
 from circperm.errors import BlockStructureError
 from circperm.lattice import decompose, lattice_edges, lattice_vertices, row_last
 from circperm.oracle import enumerate_stats, ryser_permanent
-from circperm.transfer import (_bucketer, build_alpha, build_initial,
-                               build_transfer_system, enumerate_legal_covers,
-                               right_order, sequence, verify_against_census,
+from circperm.extensions import enumerate_legal_covers
+from circperm.transfer import (build_alpha, build_initial,
+                               build_transfer_system, census, right_order,
+                               sequence, verify_against_census,
                                verify_block_structure, window_vertices)
-from test_classify import classify, position
+from test_classify import classify, cover_census, position
 
 GOLDEN_A_BAR = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
 
@@ -82,16 +83,10 @@ def test_census_t0_matches_the_pairing_graph_permanents(jumps, size, weights):
     ("0,1,4", None, "1/2,3,-1")])
 def test_census_buckets_every_cover_as_classify_does(jumps, size, weights):
     dec = _dec(jumps, size, weights)
-    w = dec.slot_width
     for n in (dec.n0, dec.n0 + 1):
-        left, right = window_vertices(dec, n)
-        bucket = _bucketer(w, left, right)
-        covers = list(enumerate_legal_covers(
-            lattice_vertices(dec.spec, n), sorted(lattice_edges(dec.spec, n)),
-            set(left), set(right)))
-        assert covers
-        for cover in covers:
-            assert bucket(cover) == position(w, classify(dec, n, cover))
+        want = cover_census(dec, n)
+        assert any(want)
+        assert census(dec, n) == want
 
 
 @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (1, 2), (2, 1), (3, 3),
@@ -197,6 +192,22 @@ def test_sequence_equals_ryser(jumps, size, n_max):
     for n in range(sys_.n0, n_max + 1):
         if spec.size(n) <= 20:
             assert terms[n - sys_.n0] == ryser_permanent(adjacency_matrix(spec, n))
+
+
+@pytest.mark.parametrize("jumps,size,weights,n_max", [
+    ("0,1,4", None, "1/2,3,-1", 14), ("0,1,4", None, "3,0,-2/3", 14),
+    ("0,1n+0,2n-1", "3n", "2,-1,1/2", 6),
+])
+def test_weighted_sequence_equals_ryser(jumps, size, weights, n_max):
+    """The integer stepping divides term k by D0 Db D^k: the weighted terms
+    are the Ryser permanents of the weighted matrices, ints where whole."""
+    spec = normalize(parse_spec(jumps, size, weights))
+    sys_ = build_transfer_system(decompose(spec))
+    terms = sequence(sys_, n_max)
+    for n in range(sys_.n0, n_max + 1):
+        want = ryser_permanent(adjacency_matrix(spec, n))
+        assert terms[n - sys_.n0] == want, n
+        assert type(terms[n - sys_.n0]) is type(want), n
 
 
 def test_weighted_alpha_is_rational():
