@@ -8,10 +8,12 @@ the jumps are taken as given, negative values included.
 The classification alone cannot count cycles, so a state is the start->end
 pairing of its open paths.  Starts are the in-degree-0 window slots (L+ and
 R-), ends the out-degree-0 ones (L- and R+), so every window vertex's degree
-bit is whether its slot appears in the pairing.  `SignedModel.walk`
-expands and completes each reachable state once, and each derivation
-compiles the result into one sparse integer transfer for `transfer.iterate`,
-the loop `derive` uses too.  Moments index by (state, j), holding m_j = sum
+bit is whether its slot appears in the pairing.  `SignedModel.seed_counts`
+steps that transfer from the empty lattice up to the base size n0, so a seed
+costs its states, not its covers; `SignedModel.walk` then expands and
+completes each reachable state once, and each derivation compiles the
+result into one sparse integer transfer for `transfer.iterate`, the loop
+`derive` uses too.  Moments index by (state, j), holding m_j = sum
 over covers of (#closed cycles)^j, so closing c new cycles is the binomial
 map m'_t = sum_j C(t,j) c^(t-j) m_j; tours route each edge that closes the
 last open path to one sink state.  Correctness rests on oracle equivalence
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional
 
 from .algebra import Recurrence, eval_recurrence, min_recurrence
 from .budget import Budget
@@ -35,55 +37,6 @@ Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
 # A pairing-transfer state: its open paths as (start slot, end slot).  An
 # isolated window vertex is a zero-length path pairing its own two slots.
 Pairing = frozenset[tuple[Slot, Slot]]
-
-
-def enumerate_legal_covers(vertices: Sequence[Hashable],
-                           edges: Sequence[tuple],
-                           in_free: set, out_free: set) -> Iterator[tuple]:
-    """All edge subsets that are legal covers: degrees <= 1 everywhere,
-    in-degree 1 off `in_free`, out-degree 1 off `out_free`.
-
-    Edges are (tail, head, payload) triples; yields tuples of edges.
-    `SignedModel.initial_covers` seeds the pairing states at the base size
-    with them.
-    """
-    order = {v: i for i, v in enumerate(vertices)}
-    out_edges: dict = {v: [] for v in vertices}
-    last_tail: dict = {}
-    for e in edges:
-        tail, head = e[0], e[1]
-        out_edges[tail].append(e)
-        pos = order[tail]
-        last_tail[head] = max(last_tail.get(head, -1), pos)
-
-    nv = len(vertices)
-    deadline: list[list] = [[] for _ in range(nv + 1)]
-    for v in vertices:
-        if v not in in_free:
-            deadline[last_tail.get(v, -1) + 1].append(v)
-
-    chosen: list = []
-    covered: set = set()
-
-    def rec(idx: int) -> Iterator[tuple]:
-        for v in deadline[idx]:
-            if v not in covered:
-                return
-        if idx == nv:
-            yield tuple(chosen)
-            return
-        v = vertices[idx]
-        for e in out_edges[v]:
-            if e[1] not in covered:
-                covered.add(e[1])
-                chosen.append(e)
-                yield from rec(idx + 1)
-                chosen.pop()
-                covered.remove(e[1])
-        if v in out_free:
-            yield from rec(idx + 1)
-
-    yield from rec(0)
 
 
 class SignedModel:
@@ -108,6 +61,8 @@ class SignedModel:
         check_width(spec, budget.transfer_max_width, spec.describe())
         dec = decompose(spec)
         self.s_plus, self.s_minus, self.n0 = dec.s_plus, dec.s_minus, dec.n0
+        self.bar_s = dec.bar_s
+        self._steps: dict[Pairing, list[tuple[Pairing, int]]] = {}
         self.in_jumps = sorted(t for t in jumps if t >= 0)
         self.out_jumps = sorted(t for t in jumps if t < 0)
         # hook edges as (end slot, start slot) gluing pairs, from the verified
@@ -122,15 +77,58 @@ class SignedModel:
 
     # -- extension ---------------------------------------------------------
 
-    def transitions(self, state: Pairing) -> Iterator[tuple[Pairing, int]]:
-        """All legal one-column extensions as (new state, cycles closed)."""
+    def transitions(self, state: Pairing, n: int) -> list[tuple[Pairing, int]]:
+        """All legal ways to add vertex n to a state of L_n, as (new state,
+        cycles closed).  From n = bar_s on they depend on the state alone,
+        so they are computed once per state."""
+        steady = n >= self.bar_s
+        if steady and state in self._steps:
+            return self._steps[state]
+        out = []
         for in_t in [None] + self.in_jumps:
             for out_t in [None] + self.out_jumps:
                 if in_t == 0 and out_t is not None:
                     continue  # the self-loop already spends n's out-degree
-                res = self._apply(state, in_t, out_t)
+                res = self._apply(state, n, in_t, out_t)
                 if res is not None:
-                    yield res
+                    out.append(res)
+        if steady:
+            self._steps[state] = out
+        return out
+
+    def seed_counts(self, max_states: int, what: str,
+                    tours: bool = False) -> dict[tuple[Pairing, int], int]:
+        """The legal covers of the base lattice L_{n0} counted per (pairing,
+        closed-cycle count), by stepping `transitions` from the empty
+        lattice over n = 0 .. n0 - 1.  A step holding more than max_states
+        pairings raises StateBudgetError(`what`).  With `tours` only the
+        covers that closed no cycle are states; one that closed a single
+        cycle and left no open path is kept under (empty pairing, 1)
+        without counting as a state, and every other cover is dropped at
+        the step that closes its cycle."""
+        counts: dict[tuple[Pairing, int], int] = {(frozenset(), 0): 1}
+        for n in range(self.n0):
+            held: dict[Pairing, list[tuple[int, int]]] = {}
+            for (state, closed), count in counts.items():
+                if not (tours and closed):    # a closed tour extends to none
+                    held.setdefault(state, []).append((closed, count))
+            counts = {}
+            pairings: set[Pairing] = set()
+            for state, entries in held.items():
+                for state2, c in self.transitions(state, n):
+                    for closed, count in entries:
+                        key = (state2, closed + c)
+                        if tours and key[1]:
+                            if key[1] > 1 or state2:
+                                continue
+                        elif state2 not in pairings:
+                            if len(pairings) >= max_states:
+                                raise StateBudgetError(
+                                    f"{what}: more than {max_states} pairing "
+                                    "states reachable")
+                            pairings.add(state2)
+                        counts[key] = counts.get(key, 0) + count
+        return counts
 
     def walk(self, seeds: Iterable[Pairing], max_states: int, what: str):
         """Number the states reachable from `seeds`, seeds first, expanding
@@ -157,10 +155,10 @@ class SignedModel:
         for src, st in enumerate(states):     # the list grows while it is read
             completions.append(self.completion_orbit_counts(st))
             edges += [(src, number(st2), closed)
-                      for st2, closed in self.transitions(st)]
+                      for st2, closed in self.transitions(st, self.n0)]
         return index, edges, completions
 
-    def _apply(self, state: Pairing, in_t, out_t):
+    def _apply(self, state: Pairing, n: int, in_t, out_t):
         sp, sm = self.s_plus, self.s_minus
         paths = dict(state)                   # start -> end
         end_of = {e: s for s, e in paths.items()}
@@ -169,15 +167,18 @@ class SignedModel:
             return None
         if out_t is not None and ("Rm", -out_t - 1) not in paths:
             return None
-        # with no right window to finish it later, a degree of n is final now
-        if sm == 0 and in_t is None:                              # in-degree
+        # the vertex leaving a right window (n itself when s± = 0) must be
+        # degree-complete, unless it lies in the matching left window, which
+        # happens only while n < bar_s
+        if sm == 0 and in_t is None and n >= sp:                  # in-degree
             return None
-        if sp == 0 and (out_t is not None) + (in_t == 0) != 1:    # out-degree
+        if sp == 0 and (out_t is not None) + (in_t == 0) != 1 and n >= sm:
+            return None                                           # out-degree
+        if (sp >= 1 and ("Rp", sp - 1) in end_of and in_t != sp
+                and n - sp >= sm):
             return None
-        # vertices leaving the right windows must be degree-complete
-        if sp >= 1 and ("Rp", sp - 1) in end_of and in_t != sp:
-            return None
-        if sm >= 1 and ("Rm", sm - 1) in paths and out_t != -sm:
+        if (sm >= 1 and ("Rm", sm - 1) in paths and out_t != -sm
+                and n - sm >= sp):
             return None
 
         closed = 0
@@ -211,7 +212,11 @@ class SignedModel:
                 return ("Rp", 0) if slot == NEW_END else ("Rm", 0)
             return slot
 
-        return frozenset((shift(s), shift(e)) for s, e in paths.items()), closed
+        pairs = ((shift(s), shift(e)) for s, e in paths.items())
+        if n < self.bar_s:        # an open vertex leaving a right window
+            left = {("Rp", sp): ("Lm", n - sp), ("Rm", sm): ("Lp", n - sm)}
+            pairs = ((left.get(s, s), left.get(e, e)) for s, e in pairs)
+        return frozenset(pairs), closed
 
     # -- completion --------------------------------------------------------
 
@@ -248,85 +253,6 @@ class SignedModel:
 
         rec(0)
         return results
-
-    # -- initialization ----------------------------------------------------
-
-    def seed_counts(self, max_states: int, what: str,
-                    tours: bool = False) -> dict[tuple[Pairing, int], int]:
-        """The legal covers of the base lattice, folded into counts per
-        (pairing, closed-cycle count) as they are enumerated, in order of
-        first appearance.  A cover whose pairing is the max_states + 1-th
-        one raises StateBudgetError(`what`) at once, before the rest are
-        enumerated.  With `tours` only the covers that closed no cycle are
-        states; one that closed a single cycle and left no open path is
-        kept under (empty pairing, 1) without counting as a state, and
-        every other cover is dropped."""
-        counts: dict[tuple[Pairing, int], int] = {}
-        pairings: set[Pairing] = set()
-        for key in self.initial_covers():
-            pairing, closed = key
-            if tours and closed:
-                if closed == 1 and not pairing:
-                    counts[key] = counts.get(key, 0) + 1
-                continue
-            if pairing not in pairings:
-                if len(pairings) >= max_states:
-                    raise StateBudgetError(
-                        f"{what}: more than {max_states} pairing states reachable")
-                pairings.add(pairing)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def initial_covers(self):
-        """Legal covers of the base lattice as (pairing, closed-cycle count),
-        by exhaustive enumeration."""
-        n = self.n0
-        verts = list(range(n))
-        edges = [(i, i + t, t) for i in verts for t in self.jumps
-                 if 0 <= i + t <= n - 1]
-        in_free = ({v for v in verts if v < self.s_plus}
-                   | {v for v in verts if n - 1 - v < self.s_minus})
-        out_free = ({v for v in verts if v < self.s_minus}
-                    | {v for v in verts if n - 1 - v < self.s_plus})
-        for cover in enumerate_legal_covers(verts, edges, in_free, out_free):
-            nxt = {t: h for t, h, _ in cover}
-            indeg = {v: 0 for v in verts}
-            for _, h, _ in cover:
-                indeg[h] += 1
-            closed = 0
-            visited = set()
-            pairing = set()
-            for v in verts:
-                if indeg[v] == 0:
-                    start = v
-                    w = v
-                    while w in nxt:
-                        visited.add(w)
-                        w = nxt[w]
-                    visited.add(w)
-                    pairing.add((self._start_slot(start, n), self._end_slot(w, n)))
-            for v in verts:
-                if v not in visited:
-                    closed += 1
-                    w = v
-                    while w not in visited:
-                        visited.add(w)
-                        w = nxt[w]
-            yield frozenset(pairing), closed
-
-    def _start_slot(self, v: int, n: int) -> Slot:
-        if v < self.s_plus:
-            return ("Lp", v)
-        if n - 1 - v < self.s_minus:
-            return ("Rm", n - 1 - v)
-        raise InconsistencyError(f"in-deficient vertex {v} off the boundary")
-
-    def _end_slot(self, v: int, n: int) -> Slot:
-        if v < self.s_minus:
-            return ("Lm", v)
-        if n - 1 - v < self.s_plus:
-            return ("Rp", n - 1 - v)
-        raise InconsistencyError(f"out-deficient vertex {v} off the boundary")
 
 
 def _shift_coeff(t: int, j: int, c: int) -> int:

@@ -108,8 +108,8 @@ def enumerate_stats(spec: CirculantSpec, n: int, i_max: int = 0,
     more cycle) or joins two paths, in O(1) either way.
 
     This shares no code with the transfer census (`transfer.census`) or
-    the pairing engines' seed enumeration (`extensions`): the oracle checks
-    those pipelines, so it must not inherit their mistakes.
+    the pairing transfer (`extensions`): the oracle checks those pipelines,
+    so it must not inherit their mistakes.
     """
     size = spec.size(n)
     if size > budget.enum_max_size:

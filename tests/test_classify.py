@@ -15,9 +15,9 @@ from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError
 from circperm.lattice import (Decomposition, Edge, SymEdge, decompose,
                               lattice_edges, lattice_vertices)
-from circperm.extensions import enumerate_legal_covers
 from circperm.transfer import (_group_span, extend_right, new_edge_choices,
                                right_order, slot, window_vertices)
+from covers import enumerate_legal_covers
 from test_lattice import concrete_edge
 
 Class = tuple[int, int]

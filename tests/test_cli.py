@@ -211,13 +211,19 @@ def test_budget_bits_resize_the_transfer_width_cap(capsys):
 
 
 def test_hamiltonian_refuses_while_it_seeds(capsys):
-    # 1.5 million base covers, but more than 4095 tour states after the
-    # first ~86 000: the refusal comes during the enumeration
-    code, err = _refusal(capsys, ["hamiltonian", "--jumps", "1,2,3,4,5,6,7"],
-                         15)
-    assert code == 2
-    assert err == ("budget exceeded: tour state count states+1 exceeds cap "
-                   "4096: more than 4095 pairing states reachable\n")
+    # the seeds are stepped vertex by vertex from the empty lattice and each
+    # step holds only its pairings: L_n0 of {1..7} has 1.5 million legal
+    # covers, yet the step past 4095 tour states refuses within a second,
+    # and so does {1..10} at the width cap
+    tours = "tour state count states+1 exceeds cap 4096: more than 4095"
+    moments = "augmented dimension states*2 exceeds cap 4096: more than 2048"
+    for argv, seconds, what in [
+            (["hamiltonian", "--jumps", "1,2,3,4,5,6,7"], 15, tours),
+            (["hamiltonian", "--jumps", "1,2,3,4,5,6,7,8,9,10"], 5, tours),
+            (["moments", "--jumps", "1,2,3,4,5,6,7"], 5, moments)]:
+        code, err = _refusal(capsys, argv, seconds)
+        assert code == 2
+        assert err == f"budget exceeded: {what} pairing states reachable\n"
 
 
 @pytest.mark.parametrize("argv", [

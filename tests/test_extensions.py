@@ -1,6 +1,7 @@
 """Pairing-augmented transfer: cycle moments and Hamiltonian counting, all
 cross-validated against exhaustive enumeration."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from circperm.extensions import (SignedModel, _shift_coeff, hamiltonian_derive,
 from circperm.oracle import brute_hamiltonian, enumerate_stats
 from circperm.pipeline import derive
 from circperm.transfer import iterate
+from covers import seed_reference
 
 
 @pytest.mark.parametrize("jumps", ["0,1,2", "-1,0,1", "1,2", "-1,2", "-2,1", "0"])
@@ -93,12 +95,15 @@ def test_hamiltonian_state_budget():
 
 
 def _count_calls(monkeypatch, name):
+    """The states the walk passes to `SignedModel.<name>`.  `transitions`
+    also steps the seeds at n < n0; those calls are not recorded."""
     calls = []
     original = getattr(SignedModel, name)
 
-    def counted(self, state):
-        calls.append(state)
-        return original(self, state)
+    def counted(self, state, *n):
+        if n in ((), (self.n0,)):
+            calls.append(state)
+        return original(self, state, *n)
     monkeypatch.setattr(SignedModel, name, counted)
     return calls
 
@@ -113,6 +118,35 @@ def test_refusal_at_the_cap_expands_no_further(monkeypatch, derive_fn):
     with pytest.raises(StateBudgetError):
         derive_fn(parse_spec("-2,1,2,5"), Budget(pairing_state_cap=8))
     assert len(expanded) <= 8
+
+
+def test_refusal_while_seeding_stays_bounded(monkeypatch):
+    # every seeding step holds at most 63 pairings, so it expands at most 63
+    calls = []
+    original = SignedModel.transitions
+
+    def counted(self, state, n):
+        calls.append(n)
+        return original(self, state, n)
+    monkeypatch.setattr(SignedModel, "transitions", counted)
+    with pytest.raises(StateBudgetError):
+        hamiltonian_derive(parse_spec("1,2,3,4,5"), Budget(pairing_state_cap=64))
+    assert calls and len(calls) <= 63 * 10        # n0 = 10
+
+
+SEED_JUMPS = ([c for k in (1, 2, 3) for c in combinations(range(-3, 5), k)]
+              + list(combinations(range(-2, 4), 4)) + [(1, 2, 5), (-2, 1, 2, 5)])
+
+
+@pytest.mark.parametrize("jumps", [",".join(map(str, c)) for c in SEED_JUMPS
+                                   if max(c) >= 0])
+def test_seeds_match_the_folded_base_covers(jumps):
+    """Stepping the transfer from the empty lattice gives the same counts
+    per (pairing, cycles closed) as folding every legal cover of L_n0."""
+    model = SignedModel(parse_spec(jumps), "seeds", Budget())
+    for tours in (False, True):
+        assert model.seed_counts(1 << 30, "seeds", tours) == seed_reference(
+            model, tours), tours
 
 
 def test_pairing_transfer_is_compiled_once(monkeypatch):

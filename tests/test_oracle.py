@@ -239,7 +239,7 @@ def test_legal_cover_enumeration_counts():
     # hand-enumerated census of legal covers of the {0,1,2} lattice at n=4
     from circperm.circulant import normalize
     from circperm.lattice import decompose, lattice_edges, lattice_vertices
-    from circperm.extensions import enumerate_legal_covers
+    from covers import enumerate_legal_covers
     from circperm.transfer import window_vertices
     dec = decompose(normalize(parse_spec("0,1,2")))
     spec = dec.spec

@@ -9,11 +9,11 @@ from circperm.circulant import adjacency_matrix, normalize, parse_spec
 from circperm.errors import BlockStructureError
 from circperm.lattice import decompose, lattice_edges, lattice_vertices, row_last
 from circperm.oracle import enumerate_stats, ryser_permanent
-from circperm.extensions import enumerate_legal_covers
 from circperm.transfer import (build_alpha, build_initial,
                                build_transfer_system, census, right_order,
                                sequence, verify_against_census,
                                verify_block_structure, window_vertices)
+from covers import enumerate_legal_covers
 from test_classify import classify, cover_census, position
 
 GOLDEN_A_BAR = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
