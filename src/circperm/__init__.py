@@ -16,7 +16,7 @@ from .errors import (AnnihilationError, BlockStructureError, CircPermError,
                      SizeCapError, SpecSyntaxError, StateBudgetError)
 from .extensions import (HamiltonianResult, MomentsResult, Pairing,
                          hamiltonian_derive, moments_derive, moments_ratio)
-from .lattice import BoundarySets, Decomposition, SymEdge, SymVertex, decompose
+from .lattice import Decomposition, SymEdge, SymVertex, decompose
 from .oracle import (CoverStats, brute_hamiltonian, enumerate_stats,
                      ryser_permanent)
 from .pipeline import DeriveResult, derive, verify

@@ -6,8 +6,9 @@ polynomial is found mod 61-bit primes by Hessenberg reduction, and the
 residues are combined by CRT under a Hadamard bound on the coefficients.
 Annihilation is then checked exactly over ints.  Recurrences are fitted
 mod the same primes, lifted to rationals and checked exactly on ints, and
-evaluated on scaled ints; real roots are isolated and bracketed on ints,
-so no float enters any reported value.
+evaluated on scaled ints.  Growth isolates only the top real root of the
+characteristic polynomial, on ints, and bisects it until its rounding to
+DECIMALS places is certain, so no float enters any reported value.
 """
 from __future__ import annotations
 
@@ -511,7 +512,7 @@ def eval_recurrence(rec: Recurrence, n: int):
 
 
 # reports print growth constants to this many decimal places, and
-# _real_roots brackets every root until that rounding is certain
+# _top_root brackets its root until that rounding is certain
 DECIMALS = 10
 
 
@@ -526,11 +527,6 @@ class GrowthEstimate:
     modulus: Fraction
     error_bound: float
     note: str
-
-
-def recurrence_char_poly(rec: Recurrence) -> Polynomial:
-    cs = [-c for c in reversed(rec.coeffs)] + [Fraction(1)]
-    return Polynomial.from_list(cs)
 
 
 def _taylor_shift(c: list[int], a: int = 1) -> list[int]:
@@ -583,106 +579,110 @@ def _sign_changes(c: list[int]) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _real_roots(poly: Polynomial, tol: Fraction) -> list[Fraction]:
-    """Every real root of `poly`, ascending, each to within `tol`.
+def _value(c: list[int], num: int, den: int) -> int:
+    """den^d c(num / den), exactly (homogeneous Horner)."""
+    acc, power = 0, 1
+    for v in reversed(c):
+        acc, power = acc * num + v * power, power * den
+    return acc
 
+
+def _top_root(c: list[int]) -> Optional[Fraction]:
+    """The largest positive root of the squarefree integer polynomial c,
+    or None when it has none.
+
+    Every root lies below B = 2^b, the least power of two with c(B) != 0
+    and every coefficient of c(x + B) of one sign (Descartes).  Then
     Descartes-rule isolation (Collins-Akritas 1976; the bisection form in
-    Vincent-Akritas-Strzebonski 2005), all on ints.  The squarefree part
-    is mapped from the Cauchy interval [-B, B] onto (0, 1) and split into
-    dyadic halves, 2^d q(x/2) and its Taylor shift by 1, until Descartes'
-    count is 0 or 1 on each piece.  A piece with one root is bisected to
-    width <= tol with exact signs (homogeneous Horner at j / 2^k), and on
-    until no rounding edge (s + 1/2) / 10^DECIMALS lies inside the bracket,
-    so the root's rounding to DECIMALS places is certain.  A root on an
-    edge would keep that going forever, so the one edge inside a narrow
-    bracket is tried as a root of poly, exactly.  The result is
-    certified: every distinct real root is returned exactly once, as the
-    split, bisection or edge point it falls on, or else as the midpoint of
-    a bracket no wider than tol that holds it.
+    Vincent-Akritas-Strzebonski 2005), all on ints, from the right:
+    q(t) = c(Bt) on (0, 1) is split into dyadic halves, 2^d q(t/2) and its
+    Taylor shift by 1, right half first.  The first piece whose Descartes
+    count is 1 holds the top root, as every piece to its right had count 0
+    or was split; a split point that is a root is returned once the half
+    to its right is found empty.  That piece is bisected with exact signs
+    until it is at most one cell of the 10^-DECIMALS grid wide, and on until
+    no rounding edge (s + 1/2) / 10^DECIMALS lies inside it, so the root's
+    rounding to DECIMALS places is certain.  A root on an edge would keep
+    that going forever, so the one edge inside is tried as a root of c,
+    exactly.  The result is the root itself when it is a split, bisection
+    or edge point, else the midpoint of a bracket that holds it.
     """
-    bound = Fraction(1) + max(abs(c) for c in poly.coeffs) / abs(poly.coeffs[-1])
-    scale = math.lcm(*(c.denominator for c in poly.coeffs))
-    sqf = _squarefree([int(c * scale) for c in poly.coeffs])
-    d = len(sqf) - 1
-    # q(t) = den^d s(B(2t - 1)), B = num/den, takes [-B, B] onto [0, 1]
-    num, den = bound.numerator, bound.denominator
-    q = _taylor_shift([c * num ** i * den ** (d - i) for i, c in enumerate(sqf)], -1)
-    q = _primitive([c << i for i, c in enumerate(q)])
-    # pieces at depth k are 2B / 2^k wide; bisection stops at width <= tol
-    stop = 0
-    while 2 * bound > tol * 2 ** stop:
-        stop += 1
-
-    def positive_at(j: int, k: int) -> Optional[bool]:
-        """Whether q(j / 2^k) > 0; None at a root."""
-        acc = 0
-        for i, c in enumerate(reversed(q)):
-            acc = acc * j + (c << k * i)
-        return None if acc == 0 else acc > 0
+    d, b, shifted = len(c) - 1, 0, _taylor_shift(c)
+    while shifted[0] == 0 or len({v > 0 for v in shifted if v}) > 1:
+        shifted = _taylor_shift(shifted, 1 << b)            # c(x + 2^(b+1))
+        b += 1
+    q = _primitive([v << b * i for i, v in enumerate(c)])
+    cell = 10 ** DECIMALS
 
     def x_at(j: int, k: int) -> Fraction:
-        """The point t = j / 2^k of [0, 1] back on [-B, B]."""
-        return bound * Fraction(2 * j - (1 << k), 1 << k)
+        """The point t = j / 2^k of (0, 1) back on (0, B)."""
+        return Fraction(j << b, 1 << k)
 
     def refine(m: int, k: int, left: bool) -> Fraction:
         """The one root of q on (m, m + 1) / 2^k, where q is `left`-signed
         just right of the left end (which may itself be a root)."""
-        cell, half, tried = 10 ** DECIMALS, Fraction(1, 2), None
+        tried = None
         while True:
-            if k >= stop:
-                # the cells of the decimal grid that hold lo from the right
-                # and hi from the left: equal once no edge is inside
-                lo, hi = x_at(m, k), x_at(m + 1, k)
-                below = math.floor(lo * cell + half)
-                above = math.ceil(hi * cell - half)
+            if cell << b <= 1 << k:
+                # the cells of the decimal grid that hold the left end from
+                # the right and the right end from the left: equal once no
+                # edge is inside, else the one edge is (below + 1/2) / cell
+                below = ((2 * m * cell << b) + (1 << k)) >> k + 1
+                above = -(((1 << k) - (2 * (m + 1) * cell << b)) >> k + 1)
                 if below == above:
                     break
-                edge = (below + half) / cell
-                if above == below + 1 and edge != tried:
-                    tried = edge
-                    if poly(edge) == 0:
-                        return edge
-            pos = positive_at(2 * m + 1, k + 1)
-            if pos is None:
+                if below != tried:
+                    tried = below
+                    if _value(c, 2 * below + 1, 2 * cell) == 0:
+                        return Fraction(2 * below + 1, 2 * cell)
+            mid = _value(q, 2 * m + 1, 1 << k + 1)
+            if mid == 0:
                 break
-            m, k = 2 * m + (pos == left), k + 1
+            m, k = 2 * m + ((mid > 0) == left), k + 1
         return x_at(2 * m + 1, k + 1)
 
-    found: list[Fraction] = []
-    pieces = [(0, 0, q)]                       # q on [m, m + 1] / 2^k
+    pieces = [(0, 0, q)]        # q on (m, m + 1) / 2^k, or None: a root at m / 2^k
     while pieces:
-        m, k, c = pieces.pop()
-        count = _sign_changes(c)
+        m, k, piece = pieces.pop()
+        if piece is None:
+            return x_at(m, k)
+        count = _sign_changes(piece)
         if count == 1:
-            found.append(refine(m, k, next(v for v in c if v) > 0))
-        elif count > 1:
-            half = [v << (d - i) for i, v in enumerate(c)]      # 2^d c(x/2)
+            return refine(m, k, next(v for v in piece if v) > 0)
+        if count > 1:
+            half = _primitive([v << d - i for i, v in enumerate(piece)])  # 2^d piece(t/2)
+            pieces.append((2 * m, k + 1, half))
             if sum(half) == 0:
-                found.append(x_at(2 * m + 1, k + 1))
-            half = _primitive(half)
-            pieces += [(2 * m + 1, k + 1, _taylor_shift(half)), (2 * m, k + 1, half)]
-    return sorted(found)
+                pieces.append((2 * m + 1, k + 1, None))
+            pieces.append((2 * m + 1, k + 1, _taylor_shift(half)))
+    return None
 
 
 def growth(rec: Recurrence, nonneg: bool) -> GrowthEstimate:
     """Dominant growth of `rec`, the minimal recurrence of a sequence, from
-    the real roots of its characteristic polynomial chi.
+    the top real roots of its characteristic polynomial chi.
 
-    Every real root of chi comes from _real_roots, certified and bracketed
-    to 1e-11 and until its rounding to DECIMALS places is certain.  With
-    `nonneg`, every term is >= 0, so the generating function has a
+    With `nonneg`, every term is >= 0, so the generating function has a
     singularity at its radius of convergence (Pringsheim; Flajolet-Sedgewick,
     Analytic Combinatorics, Thm IV.6).  As chi is minimal, its nonzero
     roots are exactly the reciprocals of the poles, so the largest positive
-    real root has the largest modulus and is reported as dominant.  Without
-    `nonneg` a non-real pair may dominate: the largest |real root| is then
-    reported as a lower bound on the dominant modulus (0 if chi has no real
-    root), and no dominant root is claimed.
+    real root has the largest modulus and is reported as dominant (0 when
+    there is none).  Without `nonneg` a non-real pair may dominate: the
+    largest |real root| is then reported as a lower bound on the dominant
+    modulus (0 if chi has no nonzero real root), and no dominant root is
+    claimed.  Only those roots are sought: _top_root on chi's squarefree
+    part, and for the lower bound on its mirror chi(-x) too, each
+    certified and bracketed until its rounding to DECIMALS places is
+    certain.
     """
-    roots = _real_roots(recurrence_char_poly(rec), Fraction(1, 10 ** 11))
-    best = max(roots, key=lambda r: (abs(r), r), default=Fraction(0))
+    scale = math.lcm(*(c.denominator for c in rec.coeffs))
+    chi = _squarefree([int(-c * scale) for c in reversed(rec.coeffs)] + [scale])
+    top = _top_root(chi)
     if nonneg:
-        return GrowthEstimate(best, abs(best), 1e-9, "largest-modulus real root")
-    return GrowthEstimate(None, abs(best), 1e-9,
+        best = Fraction(0) if top is None else top
+        return GrowthEstimate(best, best, 1e-9, "largest-modulus real root")
+    mirror = _top_root([-v if i % 2 else v for i, v in enumerate(chi)])
+    best = max((r for r in (top, mirror) if r is not None), default=Fraction(0))
+    return GrowthEstimate(None, best, 1e-9,
                           "terms may be negative: largest |real root|, "
                           "a lower bound on the dominant modulus")

@@ -20,9 +20,9 @@ from .errors import (AnnihilationError, BlockStructureError, CollisionError,
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
 from .oracle import ryser_permanent
 from .pipeline import derive, verify
-from .report import (SCHEMA, derive_report, growth_dict, num_str,
-                     recurrence_dict, render_json, render_table, spec_dict,
-                     term_values)
+from .report import (SCHEMA, decimal_str, derive_report, growth_dict,
+                     num_str, recurrence_dict, render_json, render_table,
+                     spec_dict, term_values)
 
 PARSE_ERRORS = (SpecSyntaxError, InconsistencyError, CollisionError)
 BUDGET_ERRORS = (SizeCapError, StateBudgetError)
@@ -96,9 +96,9 @@ def cmd_growth(args) -> int:
         print(render_json({"schema": SCHEMA, "spec": spec_dict(result.spec),
                            **growth_dict(g)}))
     elif g.dominant_root is not None:
-        print(f"{float(g.dominant_root):.9f}")
+        print(decimal_str(g.dominant_root))
     else:
-        print(f"{g.note}: modulus {float(g.modulus):.9f}")
+        print(f"{g.note}: modulus {decimal_str(g.modulus)}")
     return 0
 
 

@@ -51,21 +51,10 @@ class SymEdge:
 
 
 @dataclass(frozen=True)
-class BoundarySets:
-    """Slot-ordered boundary windows; slot i maps to row i//bar_s,
-    in-row offset i%bar_s (the g^L / g^R index maps)."""
-
-    left: tuple[SymVertex, ...]
-    right: tuple[SymVertex, ...]
-    new_vertices: tuple[SymVertex, ...]
-
-
-@dataclass(frozen=True)
 class Decomposition:
     spec: CirculantSpec
     hook: frozenset[SymEdge]
     new: frozenset[SymEdge]
-    boundaries: BoundarySets
     bar_s: int           # structural boundary width (s+ + s- for signed jumps)
     s_plus: int
     s_minus: int
@@ -180,7 +169,7 @@ def check_width(spec: CirculantSpec, cap: int, name: str) -> None:
 
 
 def decompose(spec: CirculantSpec, check_span: int = 2) -> Decomposition:
-    """Derive Hook(n), New(n) and the boundary windows, symbolically.
+    """Derive Hook(n) and New(n), symbolically.
 
     Computed by evaluating the definitions at consecutive concrete n and
     diffing; stability is asserted over `check_span` further values, which
@@ -225,9 +214,4 @@ def decompose(spec: CirculantSpec, check_span: int = 2) -> Decomposition:
         if "L" in (e.tail.anchor, e.head.anchor):
             raise InconsistencyError(f"new edge {e} touches the left window")
 
-    p = spec.size_coeff
-    left = tuple(SymVertex("L", i // bar_s, i % bar_s) for i in range(p * bar_s))
-    right = tuple(SymVertex("R", i // bar_s, i % bar_s) for i in range(p * bar_s))
-    nv = tuple(SymVertex("N", u, 0) for u in range(p))
-    bounds = BoundarySets(left, right, nv)
-    return Decomposition(spec, hook, new, bounds, bar_s, s_plus, s_minus, n0)
+    return Decomposition(spec, hook, new, bar_s, s_plus, s_minus, n0)

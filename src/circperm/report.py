@@ -145,9 +145,9 @@ def render_table(result: DeriveResult,
     ]
     g = result.growth
     if g.dominant_root is not None:
-        lines.append(f"growth      T(n) ~ phi^n, phi = {float(g.dominant_root):.9f}")
+        lines.append(f"growth      T(n) ~ phi^n, phi = {decimal_str(g.dominant_root)}")
     else:
-        lines.append(f"growth      {g.note}: modulus {float(g.modulus):.9f}")
+        lines.append(f"growth      {g.note}: modulus {decimal_str(g.modulus)}")
     if verification is not None:
         lines.append("verification (recurrence vs Ryser vs enumeration):")
         for e in verification:

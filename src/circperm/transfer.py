@@ -75,12 +75,11 @@ def slot(dec: Decomposition, sym) -> int:
 
 
 def window_vertices(dec: Decomposition, n: int) -> tuple[list[Vertex], list[Vertex]]:
-    """Concrete L(n), R(n) in slot order."""
-    spec = dec.spec
-    left = [(s.row, s.offset) for s in dec.boundaries.left]
-    right = [(s.row, row_last(spec, n, s.row) - s.offset)
-             for s in dec.boundaries.right]
-    return left, right
+    """Concrete L(n), R(n) in slot order: slot i is row i // bar_s, at
+    offset i % bar_s from the row's left end in L and from its right end
+    in R (the g^L / g^R index maps)."""
+    slots = [divmod(i, dec.bar_s) for i in range(dec.slot_width)]
+    return slots, [(u, row_last(dec.spec, n, u) - j) for u, j in slots]
 
 
 def extend_right(dec: Decomposition, right: int,

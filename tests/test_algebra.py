@@ -1,16 +1,18 @@
 """Exact algebra: characteristic polynomials, annihilators, recurrences,
 dominant-root estimation."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from circperm.algebra import (Polynomial, Recurrence, _real_roots,
+from circperm.algebra import (Polynomial, Recurrence, _squarefree, _top_root,
                               annihilator_from_blocks, char_poly,
                               eval_recurrence, growth, min_recurrence,
-                              recurrence_char_poly, verify_annihilates)
+                              verify_annihilates)
 from circperm.errors import (AnnihilationError, InconsistencyError,
                              NoRecurrenceError)
+from circperm.report import decimal_str
 
 F = Fraction
 
@@ -148,28 +150,49 @@ def test_growth_non_real_dominant_pair():
     assert g.modulus == 0
 
 
-def test_real_roots_finds_all_eight_of_a_weighted_chi(derived):
+def _chi(rec):
+    """The characteristic polynomial x^r - sum_j c_j x^(r-j) of rec, on ints."""
+    scale = math.lcm(*(c.denominator for c in rec.coeffs))
+    return [int(-c * scale) for c in reversed(rec.coeffs)] + [scale]
+
+
+def _mirror(c):
+    """c(-x)."""
+    return [-v if i % 2 else v for i, v in enumerate(c)]
+
+
+def test_top_root_of_a_weighted_chi_and_of_its_mirror(derived):
     # chi of {0,1,4} with weights 2,0,1 factors (per sympy) as
-    # (x-2)(x-1)(x^2-2)(x^2+2)(x^4-8)(x^4-2): eight distinct real roots, some
-    # closer together than the cells of a 1024-point grid on [-B, B]
-    poly = recurrence_char_poly(derived("0,1,4", None, "2,0,1").recurrence)
-    assert poly.degree == 14
-    tol = F(1, 10 ** 9) / 4
-    want = [-2 ** 0.75, -2 ** 0.5, -2 ** 0.25, 1, 2 ** 0.25, 2 ** 0.5, 2 ** 0.75, 2]
-    got = _real_roots(poly, tol)
-    assert got == sorted(got) and len(got) == len(want)
-    assert all(abs(float(r) - w) <= tol for r, w in zip(got, want))
+    # (x-2)(x-1)(x^2-2)(x^2+2)(x^4-8)(x^4-2): the top root is 2, and the
+    # most negative root, the top root of chi(-x), is -2^(3/4)
+    chi = _chi(derived("0,1,4", None, "2,0,1").recurrence)
+    assert len(chi) == 15
+    assert chi[0] == -128 and chi[-1] == 1
+    assert _top_root(_squarefree(chi)) == 2
+    got = _top_root(_squarefree(_mirror(chi)))
+    assert abs(float(got) - 2 ** 0.75) < 1e-10
+    assert decimal_str(got) == "1.6817928305"
 
 
-def test_real_roots_settle_the_rounding_next_to_and_on_an_edge():
-    # (x^2 - x - 1)(x - e) with e = 1.61803398875, a rounding edge of the
-    # 10-decimal grid: phi lies 1.05e-13 below e, and e itself is a root,
-    # whose rounding no bracket settles, so it must come back exactly
+def test_top_root_settles_the_rounding_next_to_and_on_an_edge():
+    # phi lies 1.05e-13 below e = 1.61803398875, a rounding edge of the
+    # 10-decimal grid, and must still print as 1.6180339887
+    phi = _top_root([-1, -1, 1])
+    assert abs(float(phi) - (1 + 5 ** 0.5) / 2) < 1e-10
+    assert decimal_str(phi) == "1.6180339887"
+    # e itself is the top root of (x^2 - x - 1)(x - e), and its rounding
+    # no bracket settles, so it must come back exactly
     e = F(161803398875, 10 ** 11)
-    roots = _real_roots(Polynomial.from_list([e, e - 1, -1 - e, 1]), F(1, 10 ** 11))
-    assert len(roots) == 3 and roots[2] == e
-    assert abs(roots[0] + (5 ** 0.5 - 1) / 2) < 1e-11
-    assert round(roots[1] * 10 ** 10) == 16180339887
+    scaled = [int(c * 10 ** 11) for c in (e, e - 1, -1 - e, 1)]
+    assert _top_root(scaled) == e
+
+
+def test_growth_of_signed_terms_reads_the_mirror():
+    # chi = (x + 3)(x - 1): the largest |real root| is the root -3, which
+    # only the search on chi(-x) sees
+    g = growth(Recurrence(2, (F(-2), F(3)), 0, (1, 1)), nonneg=False)
+    assert g.dominant_root is None
+    assert g.modulus == 3
 
 
 def test_growth_repeated_dominant_root():
@@ -179,11 +202,6 @@ def test_growth_repeated_dominant_root():
         g = growth(rec, nonneg=True)
         assert g.note == "largest-modulus real root"
         assert abs(g.dominant_root - 2) < 1e-9
-
-
-def test_recurrence_char_poly_shape():
-    rec = Recurrence(2, (F(1), F(1)), 0, (1, 1))
-    assert recurrence_char_poly(rec).coeffs == tuple(coeffs([-1, -1, 1]))
 
 
 def test_polynomial_str_and_eval():

@@ -23,7 +23,7 @@ def test_derive_table(capsys):
     assert code == 0
     assert "T(n) = 2*T(n-1) -T(n-3)" in out
     assert "9, 13, 20" in out
-    assert "1.618033989" in out
+    assert "growth      T(n) ~ phi^n, phi = 1.6180339887\n" in out
 
 
 def test_derive_degenerate_single_self_loop(capsys):
@@ -81,7 +81,19 @@ def test_eval_exact_large_n(capsys):
 def test_growth_value(capsys):
     code, out = run(capsys, "growth", "--jumps", "0,1,2")
     assert code == 0
-    assert out.strip().startswith("1.618033989")
+    assert out == "1.6180339887\n"
+
+
+def test_growth_prints_the_certified_digits_of_2_plus_sqrt5(capsys):
+    # 2 + sqrt 5 = 4.2360679774997..., whose 9-place rounding is 4.236067977
+    # and not the 4.236067978 that the float of a bracket midpoint printed
+    argv = ["--jumps", "1,1n+0,2n+1", "--size", "3n+1"]
+    code, out = run(capsys, "growth", *argv)
+    assert code == 0
+    assert out == "4.2360679775\n"
+    code, out = run(capsys, "derive", *argv)
+    assert code == 0
+    assert "growth      T(n) ~ phi^n, phi = 4.2360679775\n" in out
 
 
 @pytest.mark.parametrize("argv", [

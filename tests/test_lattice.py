@@ -5,6 +5,7 @@ from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError
 from circperm.lattice import (circulant_edges, decompose, lattice_edges,
                               lattice_vertices, row_last)
+from circperm.transfer import window_vertices
 
 
 def concrete_edge(spec, n, e):
@@ -82,9 +83,13 @@ def test_boundary_membership(jumps, size):
     for e in dec.new:
         assert e.head.anchor == "N"
         assert e.tail.anchor in ("R", "N")
-    assert len(dec.boundaries.new_vertices) == spec.size_coeff
-    assert len(dec.boundaries.left) == dec.slot_width
-    assert len(dec.boundaries.right) == dec.slot_width
+    n = dec.n0
+    new_vertices = set(lattice_vertices(spec, n + 1)) - set(lattice_vertices(spec, n))
+    assert len(new_vertices) == spec.size_coeff
+    left, right = window_vertices(dec, n)
+    assert len(left) == len(set(left)) == dec.slot_width
+    assert len(right) == len(set(right)) == dec.slot_width
+    assert set(left) | set(right) <= set(lattice_vertices(spec, n))
 
 
 def test_hook_symbolics_stable_over_many_n():

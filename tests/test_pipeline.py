@@ -5,6 +5,7 @@ from circperm.circulant import adjacency_matrix, parse_spec
 from circperm.errors import InconsistencyError
 from circperm.oracle import ryser_permanent
 from circperm.pipeline import derive, verify
+from circperm.report import decimal_str
 
 
 def test_derive_records_sizes_and_timings(derived):
@@ -68,3 +69,16 @@ def test_verify_below_the_base_names_the_first_index(derived):
                        match="up to n=9: the first verifiable index is n=10"):
         verify(parse_spec("0,1,5"), 9, result=derived("0,1,5"))
 
+
+
+def test_wide_derive_of_0_1_8(derived):
+    # the annihilator (degree 255) overshoots the minimal order 223; the
+    # growth search finds the one root it reports in chi of degree 223
+    res = derived("0,1,8")
+    assert res.recurrence.order == 223
+    assert res.annihilator.degree == 255
+    assert decimal_str(res.growth.dominant_root) == "1.3920674885"
+    entries = verify(parse_spec("0,1,8"), 24, result=res)
+    assert [e.n for e in entries] == list(range(16, 25))
+    assert all(e.ok and e.recurrence_value == e.ryser_value for e in entries)
+    assert [e.n for e in entries if e.enumeration_value is not None] == list(range(16, 21))

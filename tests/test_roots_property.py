@@ -1,15 +1,17 @@
-"""Property test: the Descartes-rule root isolator returns every real root of
-a polynomial whose roots are known by construction, each to within tol."""
+"""Property test: the Descartes-rule top-root search returns the largest
+positive root of a polynomial whose roots are known by construction, and
+on its mirror p(-x) the modulus of the most negative one, each with the
+10-decimal rounding of the true root."""
+import math
 from fractions import Fraction
 
 import pytest
 
-from circperm.algebra import Polynomial, _real_roots
+from circperm.algebra import _squarefree, _top_root
+from circperm.report import decimal_str
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-TOL = Fraction(1, 10 ** 11)             # what growth() asks for
 
 
 def _times(p: list, q: list) -> list:
@@ -20,26 +22,24 @@ def _times(p: list, q: list) -> list:
     return out
 
 
-def _cauchy(p: list) -> Fraction:
-    """The bound B that _real_roots isolates in, [-B, B]."""
-    return 1 + max(abs(c) for c in p) / abs(p[-1])
+def _ints(p: list) -> list:
+    """p times the lcm of its denominators: the same roots, on ints."""
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    return [int(c * scale) for c in p]
 
 
-def _dyadic_root(p: list, f: Fraction):
-    """rho with rho = f * B(p * (x - rho)), or None: a root that lands on the
-    point f * B of the dyadic grid of [-B, B] once (x - rho) is multiplied
-    in.  Each coefficient of p * (x - rho) is linear in rho, so each choice
-    of the coefficient that sets B, and of its sign, is one linear equation."""
-    lead, cands = abs(p[-1]), []
-    for a, b in zip([Fraction(0)] + p, p + [Fraction(0)]):    # a - rho * b
-        for s in (1, -1):
-            den = lead + f * s * b
-            if den:
-                cands.append(f * (lead + s * a) / den)
-    for rho in cands:
-        if rho == f * _cauchy(_times(p, [-rho, 1])):
-            return rho
-    return None
+def _bound(p: list) -> Fraction:
+    """The B = 2^b that _top_root searches below: the least power of two
+    with p(B) != 0 and every coefficient of p(x + B) of one sign."""
+    b = Fraction(1)
+    while True:
+        shifted = list(p)
+        for i in range(len(shifted) - 1):          # Taylor shift by b
+            for j in range(len(shifted) - 2, i - 1, -1):
+                shifted[j] += b * shifted[j + 1]
+        if shifted[0] and len({c > 0 for c in shifted if c}) == 1:
+            return b
+        b *= 2
 
 
 _root = st.fractions(min_value=-6, max_value=6, max_denominator=8)
@@ -49,10 +49,9 @@ _lead = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 @st.composite
 def planted(draw):
     """(coefficients, roots): lead * prod (x - r_i)^m_i * prod (root-free
-    quadratics), with m_i <= 3, a cluster far closer than a 1024-point grid
-    cell (>= 4/1024 wide, as B >= 2), a root at 0 (the first dyadic
-    midpoint) half of the time, and one on a dyadic point f * B such as
-    +-B/2 or -3B/8 half of the time."""
+    quadratics), with m_i <= 3, a cluster as close as 10^-6, a root at 0
+    half of the time, and half of the time one on a dyadic point f * B of
+    (0, B) or of (-B, 0), such as B/2 or 3B/8, where the search splits."""
     roots = draw(st.lists(_root, max_size=4, unique=True))
     if roots and draw(st.booleans()):
         gap = draw(st.sampled_from([Fraction(1, 997), Fraction(1, 4096),
@@ -70,25 +69,32 @@ def planted(draw):
         c = draw(st.integers(b * b // 4 + 1, b * b // 4 + 6))     # b^2 < 4c
         p = _times(p, [Fraction(c), Fraction(b), Fraction(1)])
     if draw(st.booleans()):
-        f = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 8)]))
-        for _ in range(16):   # solvable once |f| * max|p_i| / |lead| < 1
-            rho = _dyadic_root(p, f)
-            if rho is not None:
-                break
-            f /= 2
-        if rho is not None and rho not in roots:
+        f = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 8),
+                                  Fraction(-3, 4), Fraction(1, 4)]))
+        # p * (x - rho) has every root below B(p), so its own bound is at
+        # most B(p) and rho a dyadic point of its (0, B) or (-B, 0)
+        rho = f * _bound(p)
+        if rho not in roots:
             p = _times(p, [-rho, 1])
             roots = sorted(roots + [rho])
     return p, roots
+
+
+def _check(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and abs(got - want) <= Fraction(1, 10 ** 10)
+        assert decimal_str(got) == decimal_str(want)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
 @hypothesis.given(planted())
 @hypothesis.example(([Fraction(0), Fraction(-4), Fraction(0), Fraction(1)],   # x^3 - 4x
                      [Fraction(-2), Fraction(0), Fraction(2)]))
-def test_every_planted_root_comes_back_once(case):
+def test_top_planted_root_comes_back_on_both_sides(case):
     coeffs, roots = case
-    got = _real_roots(Polynomial.from_list(coeffs), TOL)
-    assert got == sorted(got)
-    assert len(got) == len(roots)
-    assert all(abs(g - r) <= TOL for g, r in zip(got, roots))
+    chi = _squarefree(_ints(coeffs))
+    _check(_top_root(chi), max((r for r in roots if r > 0), default=None))
+    mirror = [-c if i % 2 else c for i, c in enumerate(chi)]
+    _check(_top_root(mirror), max((-r for r in roots if r < 0), default=None))

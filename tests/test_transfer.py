@@ -7,7 +7,7 @@ import pytest
 
 from circperm.circulant import adjacency_matrix, normalize, parse_spec
 from circperm.errors import BlockStructureError
-from circperm.lattice import decompose, lattice_edges, lattice_vertices, row_last
+from circperm.lattice import decompose, lattice_edges, lattice_vertices
 from circperm.oracle import enumerate_stats, ryser_permanent
 from circperm.transfer import (build_alpha, build_initial,
                                build_transfer_system, census, right_order,
@@ -31,9 +31,7 @@ def ryser_t0(dec):
     verts = lattice_vertices(spec, n0)
     vindex = {v: i for i, v in enumerate(verts)}
     edges = sorted(lattice_edges(spec, n0))
-    left_v = [(s.row, s.offset) for s in dec.boundaries.left]
-    right_v = [(s.row, row_last(spec, n0, s.row) - s.offset)
-               for s in dec.boundaries.right]
+    left_v, right_v = window_vertices(dec, n0)
     t0 = []
     for left in range(1 << w):
         lz = [i for i in range(w) if not left >> i & 1]
