@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import mul
 from typing import Optional, Sequence
 
@@ -45,15 +46,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
 
     def __str__(self):
         if not self.coeffs:
@@ -231,20 +223,49 @@ def verify_annihilates(poly: Polynomial, blocks: Sequence[Matrix]) -> None:
         _check_kills(poly, b, i)
 
 
-def annihilator_from_blocks(blocks: Sequence[Matrix]) -> Polynomial:
-    """Product of the blocks' characteristic polynomials, repeated factors
-    included once.  Each block is checked against its own factor, which
-    the product is a multiple of, so the product kills every block."""
-    factors: list[Polynomial] = []
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials (schoolbook)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _product(polys: Sequence[Polynomial]) -> tuple[Fraction, ...]:
+    """Coefficients of the product of the polynomials, on ints: each factor
+    is cleared of its denominators, the integer factors are multiplied, and
+    the product of the clearing scales is divided out once."""
+    out, scale = [1], 1
+    for f in polys:
+        d = math.lcm(*(c.denominator for c in f.coeffs))
+        out = _mul(out, [c.numerator * (d // c.denominator) for c in f.coeffs])
+        scale *= d
+    return tuple(Fraction(c, scale) for c in out)
+
+
+@dataclass(frozen=True)
+class Annihilator(Polynomial):
+    """A polynomial that kills every block, with the characteristic
+    polynomial chi_i of each block B_i kept in `chis` (block order, repeats
+    included): the part of the sequence that comes from B_i obeys chi_i."""
+
+    chis: tuple[Polynomial, ...]
+
+
+def annihilator_from_blocks(blocks: Sequence[Matrix]) -> Annihilator:
+    """Product of the blocks' characteristic polynomials chi_i, repeated
+    factors included once, with every chi_i handed on in `chis`.  Each block
+    is checked against its own chi_i, which the product is a multiple of, so
+    the product kills every block.  The distinct factors are multiplied on
+    ints (`_product`)."""
+    chis = []
     for i, b in enumerate(blocks):
         cp = char_poly(b)
         _check_kills(cp, b, i)
-        if cp not in factors:
-            factors.append(cp)
-    out = Polynomial.from_list([1])
-    for f in factors:
-        out = out * f
-    return out
+        chis.append(cp)
+    return Annihilator(_product(list(dict.fromkeys(chis))), tuple(chis))
 
 
 @dataclass(frozen=True)
@@ -455,11 +476,7 @@ def min_recurrence(terms: Sequence, base: int, bound: int) -> Recurrence:
 def _mulmod(a: list[int], b: list[int], chi: list[int]) -> list[int]:
     """a * b mod chi(x) = x^d - sum_j chi[j-1] x^(d-j), for a, b of degree < d."""
     d = len(chi)
-    prod = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
+    prod = _mul(a, b)
     for i in range(2 * d - 2, d - 1, -1):
         top = prod[i]
         if top:
@@ -560,9 +577,43 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def _gcd_degree_mod(a: list[int], b: list[int], q: int) -> int:
+    """The degree of gcd(a, b) mod the prime q, by Euclid's algorithm over
+    GF(q)."""
+    def reduced(c: list[int]) -> list[int]:
+        c = [v % q for v in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = reduced(a), reduced(b)
+    while b:
+        inv, size = pow(b[-1], -1, q), len(b)
+        while len(a) >= size:
+            f, s = a[-1] * inv % q, len(a) - size
+            a[s:] = [(x - f * y) % q for x, y in zip(a[s:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def _squarefree(p: list[int]) -> list[int]:
-    """p / gcd(p, p'): p with every repeated root made simple."""
-    g = _gcd(p, [i * c for i, c in enumerate(p)][1:])
+    """p / gcd(p, p'): p with every repeated root made simple.
+
+    The modular test decides and the integer PRS computes.  Take the first
+    prime q = _prime(i) that does not divide p's leading coefficient.  A
+    repeated factor f^2 of p has a leading coefficient that divides p's, so
+    f keeps its degree mod q and divides both p and p' there: a gcd(p, p')
+    of degree 0 mod q proves p squarefree over Q, and p is returned as it
+    is.  Otherwise (a repeated factor, or an unlucky q) the gcd is computed
+    over Z by `_gcd`, which is exact up to sign, as are the roots.
+    """
+    dp = [i * c for i, c in enumerate(p)][1:]
+    q = next(q for q in map(_prime, count()) if p[-1] % q)
+    if _gcd_degree_mod(p, dp, q) == 0:
+        return p
+    g = _gcd(p, dp)
     # g is primitive, so the quotient stays in Z[x] (Gauss's lemma)
     quot, r = [0] * (len(p) - len(g) + 1), list(p)
     for shift in range(len(quot) - 1, -1, -1):

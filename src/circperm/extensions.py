@@ -12,8 +12,8 @@ bit is whether its slot appears in the pairing.  `SignedModel.seed_counts`
 steps that transfer from the empty lattice up to the base size n0, so a seed
 costs its states, not its covers; `SignedModel.walk` then expands and
 completes each reachable state once, and each derivation compiles the
-result into one sparse integer transfer for `transfer.iterate`, the loop
-`derive` uses too.  Moments index by (state, j), holding m_j = sum
+result into one sparse integer transfer for `transfer.iterate`, whose
+stopping rule `derive`'s term stage shares.  Moments index by (state, j), holding m_j = sum
 over covers of (#closed cycles)^j, so closing c new cycles is the binomial
 map m'_t = sum_j C(t,j) c^(t-j) m_j; tours route each edge that closes the
 last open path to one sink state.  Correctness rests on oracle equivalence

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import (GrowthEstimate, Polynomial, Recurrence,
+from .algebra import (Annihilator, GrowthEstimate, Recurrence,
                       annihilator_from_blocks, eval_recurrence, growth,
                       min_recurrence)
 from .budget import Budget
@@ -24,7 +24,7 @@ class DeriveResult:
     spec: CirculantSpec
     normalized: CirculantSpec
     system: TransferSystem
-    annihilator: Polynomial
+    annihilator: Annihilator
     recurrence: Recurrence
     growth: GrowthEstimate
     timings: dict[str, float] = field(default_factory=dict)
@@ -71,7 +71,7 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
 
     cap = max(ann.degree, 1)
     t = time.perf_counter()
-    terms = sequence(system, cap)
+    terms = sequence(system, cap, ann.chis)
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()

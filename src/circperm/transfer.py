@@ -23,10 +23,12 @@ dynamic programme over the tails whose state is the covered heads a later
 tail can still reach plus the two masks, so its cost follows its states,
 not its covers.  A-bar itself is block diagonal in the zero-count groups
 B_i, which is both the degree-bound argument and the work-saver: each left
-mask's slice of T0 only ever meets its own B_i.  `iterate` is the
-package's one stepping loop (sparse pull rows, a start vector and output
-vectors in, one term list per output out); `sequence` and the pairing
-transfers of `extensions` both feed it.
+mask's slice of T0 only ever meets its own B_i.  `sequence` makes
+derive's terms from that: it steps each group's slices deg chi_i times,
+chi_i = char(B_i) as the annihilator stage checked it, and runs the
+group's share of the terms forward by chi_i.  `iterate` (sparse pull rows,
+a start vector and output vectors in, one term list per output out) is the
+stepping loop of the pairing transfers of `extensions`.
 
 Rational weights never reach an inner loop: the census, the A-bar check
 and `sequence` scale their entries to ints by the lcm of the denominators
@@ -38,11 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import count, product
+from operator import add, mul
 from typing import Optional, Sequence
 
-from .algebra import Massey
+from .algebra import Massey, Polynomial
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import (Decomposition, SymEdge, Vertex, lattice_edges,
                       lattice_vertices, row_last)
@@ -341,77 +343,127 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
     return TransferSystem(dec, a_bar, blocks, beta, t0)
 
 
-def iterate(rows: list[list[tuple[int, object]]], start: list,
-            outputs: list[list], bound: int,
-            scale: tuple[int, int] = (1, 1)) -> list[list]:
-    """The one transfer stepping loop: for each output vector o, the terms
-    o . v_k / (c d^k) for k = 0, 1, ..., where (c, d) = `scale`, v_0 =
-    `start` and v_{k+1}[i] is the sum of val * v_k[col] over the sparse pull
-    row `rows[i]` of (col, val) pairs.  A caller with rational entries
-    scales them to ints, so that the vectors step on ints, and passes the
-    scale here: each term is divided once, an int when integral, else a
-    Fraction.
+def _pulls(rows: list[list[tuple[int, object]]]) -> list[tuple]:
+    """Sparse pull rows of (col, val) pairs as (cols, vals), vals None for
+    a row of int ones, which sums its columns with no multiplication."""
+    return [([j for j, _ in row],
+             None if all(type(v) is int and v == 1 for _, v in row)
+             else [v for _, v in row]) for row in rows]
 
-    `bound` is a proven bound on the order of every output's sequence.  The
-    loop stops once each output has bound + r terms, r its order so far by
-    Berlekamp-Massey mod a prime, which is what `min_recurrence` needs: for
-    a prime that divides no term's denominator r is at most the true
-    order, and once bound + r terms are read it no longer changes (its
-    residual vanishes on bound consecutive indices).  It stops as well on an
-    order above the bound, which `min_recurrence` refuses."""
+
+def _step(pulls: list[tuple], vec: list) -> list:
+    """The vector the pull rows make from `vec`."""
+    get = vec.__getitem__
+    return [sum(map(get, cols)) if vals is None
+            else sum(map(mul, vals, map(get, cols))) for cols, vals in pulls]
+
+
+def _enough(fit: Massey, bound: int) -> bool:
+    """Whether the terms `fit` reads are the bound + r that `min_recurrence`
+    needs, r their order so far by Berlekamp-Massey mod a prime, or show an
+    order above the bound, which `min_recurrence` refuses.  For a prime
+    that divides no term's denominator r is at most the true order, and
+    once bound + r terms are read it no longer changes (its residual
+    vanishes on bound consecutive indices)."""
+    return len(fit.terms) >= bound + fit.read().order or fit.order > bound
+
+
+def iterate(rows: list[list[tuple[int, object]]], start: list,
+            outputs: list[list], bound: int) -> list[list]:
+    """The pairing engines' stepping loop: for each output vector o, the
+    terms o . v_k for k = 0, 1, ..., where v_0 = `start` and v_{k+1}[i] is
+    the sum of val * v_k[col] over the sparse pull row `rows[i]` of (col,
+    val) pairs.
+
+    `bound` is a proven bound on the order of every output's sequence, and
+    the loop stops once every output has `_enough` terms."""
     outs = [[(j, o) for j, o in enumerate(out) if o] for out in outputs]
-    # a row of int ones sums its columns, with no multiplication
-    pulls = [([j for j, _ in row],
-              None if all(type(v) is int and v == 1 for _, v in row)
-              else [v for _, v in row]) for row in rows]
+    pulls = _pulls(rows)
     terms: list[list] = [[] for _ in outs]
     fits = [Massey(ts) for ts in terms]
-    vec, den, step = start, *scale
+    vec = start
     while True:
         for out, ts in zip(outs, terms):
-            t = sum(o * vec[j] for j, o in out)
-            ts.append(t if den == 1 else _exact(t, den))
-        if all(len(fit.terms) >= bound + fit.read().order or fit.order > bound
-               for fit in fits):
+            ts.append(sum(o * vec[j] for j, o in out))
+        if all(_enough(fit, bound) for fit in fits):
             return terms
-        get = vec.__getitem__
-        vec = [sum(map(get, cols)) if vals is None
-               else sum(map(mul, vals, map(get, cols))) for cols, vals in pulls]
-        den *= step
+        vec = _step(pulls, vec)
 
 
-def sequence(system: TransferSystem, bound: int) -> list:
-    """Exact T(n) for n = n0, n0 + 1, ..., iterating A-bar on T0 by block,
-    until `iterate` has the bound + r terms that `min_recurrence` needs for
-    a sequence of order r <= `bound`.
+def sequence(system: TransferSystem, bound: int,
+             chis: Sequence[Polynomial]) -> list:
+    """Exact T(n) for n = n0, n0 + 1, ..., until there are the `_enough`
+    terms that `min_recurrence` needs for a sequence of order <= `bound`:
+    each zero-count group is stepped deg chi_i times, then run forward by
+    its own chi_i, the characteristic polynomial of B_i (`chis`, in block
+    order, as `annihilator_from_blocks` hands them on).
 
     Each left mask's slice of T0 is supported on the zero-count group
-    matching its own popcount, so only that B_i ever acts on it: the nonzero
-    slices become one block-diagonal system with beta as its output.  The
-    system's rows are scaled by the lcm D of their denominators, T0 by D0
-    and beta by Db, so the vectors step on ints; `iterate` divides term k
-    by D0 Db D^k.
+    matching its own popcount i, so only B_i ever acts on it, and T(n0 + k)
+    is the sum over the groups of the shares s_i(k) = sum_l beta_l . B_i^k
+    t_l over the nonzero slices t_l of group i.  As chi_i(B_i) = 0, s_i obeys
+    the recurrence chi_i, so its first deg chi_i values, from stepping the
+    group's slices, give all the rest.  The blocks are scaled by the lcm D
+    of their denominators, T0 by D0 and beta by Db, so u_i(k) = D0 Db D^k
+    s_i(k) is an int and obeys chi_i of D B_i, an integer monic polynomial:
+    the shares run forward on ints, groups with equal chi_i as one, and term
+    k is their sum divided once by D0 Db D^k.
     """
     w = system.w
     nr = 1 << w
-    rows: list[list] = []
-    start: list = []
-    beta: list = []
+    groups: dict[int, list[tuple[list, list]]] = {}
     for left in range(nr):
         pc = left.bit_count()
         lo, size = _group_span(w, pc)
         seg = system.t0[left * nr:(left + 1) * nr]
-        if any(v != 0 for k, v in enumerate(seg) if not lo <= k < lo + size):
+        if any(seg[:lo]) or any(seg[lo + size:]):
             raise BlockStructureError(
                 "T0 has support outside its zero-count group")
         # a zero slice stays zero under every B_i
         if any(seg[lo:lo + size]):
-            off = len(start)
-            rows += [[(off + j, v) for j, v in enumerate(row) if v != 0]
-                     for row in system.blocks[pc]]
-            start += seg[lo:lo + size]
-            beta += system.beta[left * nr + lo:left * nr + lo + size]
-    rows, d = _int_rows(rows)
-    start, d0 = _to_ints(start)
-    beta, db = _to_ints(beta)
-    return iterate(rows, start, [beta], bound, (d0 * db, d))[0]
+            start = left * nr + lo
+            groups.setdefault(pc, []).append(
+                (seg[lo:lo + size], system.beta[start:start + size]))
+    every = [s for group in groups.values() for s in group]
+    d = math.lcm(*(v.denominator for pc in groups
+                   for row in system.blocks[pc] for v in row))
+    d0 = math.lcm(*(v.denominator for seg, _ in every for v in seg))
+    db = math.lcm(*(v.denominator for _, beta in every for v in beta))
+    shares: dict[tuple, list[int]] = {}
+    for pc, slices in groups.items():
+        deg = chis[pc].degree
+        chi = [c * d ** (deg - j) for j, c in enumerate(chis[pc].coeffs[:-1])]
+        if any(c.denominator != 1 for c in chi):
+            raise InconsistencyError(
+                f"chi_{pc} of the scaled block is not an integer polynomial")
+        # the group's slices side by side, stepped by D B_i
+        size = len(slices[0][0])
+        pulls = _pulls([[(off + j, v.numerator * (d // v.denominator))
+                         for j, v in enumerate(row) if v]
+                        for off in range(0, size * len(slices), size)
+                        for row in system.blocks[pc]])
+        vec = [v.numerator * (d0 // v.denominator)
+               for seg, _ in slices for v in seg]
+        out = [(j, v.numerator * (db // v.denominator)) for j, v in
+               enumerate(v for _, beta in slices for v in beta) if v]
+        vals = [sum(o * vec[j] for j, o in out)]
+        while len(vals) < deg:
+            vec = _step(pulls, vec)
+            vals.append(sum(o * vec[j] for j, o in out))
+        key = tuple(map(int, chi))
+        if key in shares:
+            vals = list(map(add, shares[key], vals))
+        shares[key] = vals
+    terms: list = []
+    fit = Massey(terms)
+    den = d0 * db
+    for k in count():
+        t = 0
+        for chi, vals in shares.items():
+            if k == len(vals):
+                vals.append(-sum(map(mul, chi, vals[k - len(chi):])))
+            t += vals[k]
+        terms.append(t if den == 1 else _exact(t, den))
+        if _enough(fit, bound):
+            return terms
+        den *= d

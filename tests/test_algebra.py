@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from circperm.algebra import (Polynomial, Recurrence, _squarefree, _top_root,
-                              annihilator_from_blocks, char_poly,
+from circperm import algebra
+from circperm.algebra import (Polynomial, Recurrence, _product, _squarefree,
+                              _top_root, annihilator_from_blocks, char_poly,
                               eval_recurrence, growth, min_recurrence,
                               verify_annihilates)
 from circperm.errors import (AnnihilationError, InconsistencyError,
@@ -40,7 +41,7 @@ def test_char_poly_block_diagonal_multiplies():
         for i in range(3):
             for j in range(3):
                 block[2 + i][2 + j] = b[i][j]
-        assert char_poly(block).coeffs == (char_poly(a) * char_poly(b)).coeffs
+        assert char_poly(block).coeffs == _product([char_poly(a), char_poly(b)])
 
 
 def test_annihilator_dedups_repeated_factors():
@@ -202,6 +203,53 @@ def test_growth_repeated_dominant_root():
         g = growth(rec, nonneg=True)
         assert g.note == "largest-modulus real root"
         assert abs(g.dominant_root - 2) < 1e-9
+
+
+def _prs_calls(monkeypatch) -> list:
+    """Record each call of the integer PRS `_gcd` behind `_squarefree`."""
+    calls, prs = [], algebra._gcd
+    monkeypatch.setattr(algebra, "_gcd", lambda a, b: calls.append(a) or prs(a, b))
+    return calls
+
+
+def _up_to_sign(got, want):
+    assert got in (want, [-v for v in want])
+
+
+def test_squarefree_certified_by_the_modular_gcd_is_returned_as_is(monkeypatch):
+    calls = _prs_calls(monkeypatch)
+    chi = [-4, -2, 2]                     # 2(x^2 - x - 1), not primitive
+    assert _squarefree(chi) is chi
+    assert calls == []
+
+
+def test_squarefree_drops_planted_square_and_cube_factors(monkeypatch):
+    calls = _prs_calls(monkeypatch)
+    # (x - 2)^2 (x + 1)^3 (x^2 + 1) loses its repeats, by the PRS
+    chi = algebra._mul(algebra._mul([4, -4, 1], [1, 3, 3, 1]), [1, 0, 1])
+    _up_to_sign(_squarefree(chi), algebra._mul([-2, -1, 1], [1, 0, 1]))
+    assert len(calls) == 1
+
+
+def test_squarefree_skips_a_prime_that_divides_the_lead(monkeypatch):
+    # (q x + 1)^2 for the first prime q: mod q it is the constant 1, whose
+    # gcd with the derivative has degree 0, so q must be skipped, and mod
+    # the next prime the square shows
+    calls = _prs_calls(monkeypatch)
+    q = algebra._prime(0)
+    _up_to_sign(_squarefree([1, 2 * q, q * q]), [1, q])
+    assert len(calls) == 1
+
+
+def test_squarefree_after_an_unlucky_prime_is_the_prs_answer(monkeypatch):
+    # x (x - q) is squarefree, but mod the first prime q it is x^2: the
+    # modular gcd is x, so the PRS decides, and keeps both roots
+    calls = _prs_calls(monkeypatch)
+    q = algebra._prime(0)
+    chi = [0, -q, 1]
+    _up_to_sign(_squarefree(chi), chi)
+    assert len(calls) == 1
+    assert _top_root(_squarefree(chi)) == q
 
 
 def test_polynomial_str_and_eval():

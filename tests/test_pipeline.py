@@ -32,7 +32,8 @@ def test_recurrence_agrees_with_sequence_past_fit_window(derived, key):
     res = derived(*key)
     from circperm.algebra import eval_recurrence
     from circperm.transfer import sequence
-    far = sequence(res.system, res.n0 + 2 * res.annihilator.degree + 15)
+    far = sequence(res.system, res.n0 + 2 * res.annihilator.degree + 15,
+                   res.annihilator.chis)
     for n in range(res.n0, res.n0 + len(far)):
         assert eval_recurrence(res.recurrence, n) == far[n - res.n0]
 
@@ -82,3 +83,16 @@ def test_wide_derive_of_0_1_8(derived):
     assert [e.n for e in entries] == list(range(16, 25))
     assert all(e.ok and e.recurrence_value == e.ryser_value for e in entries)
     assert [e.n for e in entries if e.enumeration_value is not None] == list(range(16, 21))
+
+
+def test_wide_linear_derive_of_3_1n_minus_1_1n(derived):
+    # w = 8: a linear spec as wide as {0,1,8}, its annihilator (degree 255)
+    # again above the minimal order
+    res = derived("3,1n-1,1n+0", "2n")
+    assert res.system.w == 8
+    assert res.recurrence.order == 247
+    assert res.annihilator.degree == 255
+    assert decimal_str(res.growth.dominant_root) == "1.9341392966"
+    spec = parse_spec("3,1n-1,1n+0", "2n")
+    for n in range(res.n0, res.n0 + 5):
+        assert res.raw_term(n) == ryser_permanent(adjacency_matrix(spec, n)), n

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from circperm.algebra import annihilator_from_blocks
 from circperm.circulant import adjacency_matrix, normalize, parse_spec
 from circperm.errors import BlockStructureError
 from circperm.lattice import decompose, lattice_edges, lattice_vertices
@@ -17,6 +18,10 @@ from covers import enumerate_legal_covers
 from test_classify import classify, cover_census, position
 
 GOLDEN_A_BAR = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+
+
+def _chis(system):
+    return annihilator_from_blocks(system.blocks).chis
 
 
 def _dec(jumps, size=None, weights=None):
@@ -115,7 +120,7 @@ def test_self_loop_only_spec():
     sys_ = build_transfer_system(_dec("0"))
     assert sys_.a_bar == [[1]]
     assert sys_.beta == [1] and sys_.t0 == [1]
-    assert sequence(sys_, 6) == [1] * 7
+    assert sequence(sys_, 6, _chis(sys_)) == [1] * 7
 
 
 def test_linear_a_bar_against_direct_cover_counts():
@@ -186,7 +191,7 @@ def test_beta_dot_t0_equals_cover_count(sys012):
 def test_sequence_equals_ryser(jumps, size, n_max):
     spec = normalize(parse_spec(jumps, size))
     sys_ = build_transfer_system(decompose(spec))
-    terms = sequence(sys_, n_max)
+    terms = sequence(sys_, n_max, _chis(sys_))
     for n in range(sys_.n0, n_max + 1):
         if spec.size(n) <= 20:
             assert terms[n - sys_.n0] == ryser_permanent(adjacency_matrix(spec, n))
@@ -201,7 +206,7 @@ def test_weighted_sequence_equals_ryser(jumps, size, weights, n_max):
     are the Ryser permanents of the weighted matrices, ints where whole."""
     spec = normalize(parse_spec(jumps, size, weights))
     sys_ = build_transfer_system(decompose(spec))
-    terms = sequence(sys_, n_max)
+    terms = sequence(sys_, n_max, _chis(sys_))
     for n in range(sys_.n0, n_max + 1):
         want = ryser_permanent(adjacency_matrix(spec, n))
         assert terms[n - sys_.n0] == want, n
@@ -236,5 +241,5 @@ def test_scrambled_ordering_triggers_block_error():
 
 def test_sequence_stops_at_the_bound_plus_the_order(sys012):
     # {0,1,2} has order 3: a bound of 3 needs 6 terms, a looser one more
-    assert sequence(sys012, 3) == [9, 13, 20, 31, 49, 78]
-    assert len(sequence(sys012, 10)) == 13
+    assert sequence(sys012, 3, _chis(sys012)) == [9, 13, 20, 31, 49, 78]
+    assert len(sequence(sys012, 10, _chis(sys012))) == 13
