@@ -172,7 +172,7 @@ def char_poly(matrix: Matrix) -> Polynomial:
     result is read in the symmetric range.
     """
     dim = len(matrix)
-    scale = math.lcm(*(Fraction(v).denominator for row in matrix for v in row))
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
     m = [[int(v * scale) for v in row] for row in matrix]
     bound = 1
     for row in m:
@@ -192,7 +192,7 @@ def _check_kills(poly: Polynomial, block: Matrix, index: int) -> None:
     the block's denominators and L that of the coefficients', it is
     sum_k L c_k D^(deg-k) (D block)^k = 0, evaluated by Horner."""
     dim = len(block)
-    scale = math.lcm(*(Fraction(v).denominator for row in block for v in row))
+    scale = math.lcm(*(v.denominator for row in block for v in row))
     m = [[(j, int(v * scale)) for j, v in enumerate(row) if v] for row in block]
     coeffs = [Fraction(c) * scale ** (poly.degree - k)
               for k, c in enumerate(poly.coeffs)]

@@ -346,12 +346,13 @@ def check_weighted(get=None) -> list[Check]:
     out.append((label, ok, detail))
     plain = get(case["jumps"])
     unit = get(case["jumps"], None, "1,1,1")
+    # repr tells an int from an equal Fraction: the types must match too
     ok = (plain.recurrence.order == unit.recurrence.order
           and list(map(Fraction, plain.recurrence.coeffs)) == list(unit.recurrence.coeffs)
           and unit.recurrence.initials == plain.recurrence.initials
-          and [[int(v) for v in row] for row in unit.system.a_bar] == plain.system.a_bar
-          and [int(v) for v in unit.system.beta] == plain.system.beta
-          and [int(v) for v in unit.system.t0] == plain.system.t0)
+          and repr(unit.system.a_bar) == repr(plain.system.a_bar)
+          and repr(unit.system.beta) == repr(plain.system.beta)
+          and repr(unit.system.t0) == repr(plain.system.t0))
     out.append(("unit weights reproduce the unweighted pipeline exactly", ok, ""))
     return out
 

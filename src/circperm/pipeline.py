@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import (Annihilator, GrowthEstimate, Recurrence,
+from .algebra import (Annihilator, GrowthEstimate, Polynomial, Recurrence,
                       annihilator_from_blocks, eval_recurrence, growth,
                       min_recurrence)
 from .budget import Budget
@@ -23,8 +23,8 @@ from .transfer import TransferSystem, build_transfer_system, sequence
 class DeriveResult:
     spec: CirculantSpec
     normalized: CirculantSpec
-    system: TransferSystem
-    annihilator: Annihilator
+    system: TransferSystem       # on the integer weights L w_i
+    annihilator: Annihilator     # of the blocks of the weights w_i
     recurrence: Recurrence
     growth: GrowthEstimate
     timings: dict[str, float] = field(default_factory=dict)
@@ -67,11 +67,17 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
         ann = annihilator_from_blocks(system.blocks)
     except AnnihilationError as exc:
         raise AnnihilationError(f"{exc} of {spec.describe()}") from exc
+    chis = ann.chis
+    if system.scale != 1:
+        # a step of the integer system adds p edges: its blocks are L^p B_i
+        step = system.scale ** norm.size_coeff
+        ann = Annihilator(_unscaled(ann, step), tuple(
+            Polynomial(_unscaled(chi, step)) for chi in ann.chis))
     timings["annihilator"] = time.perf_counter() - t
 
     cap = max(ann.degree, 1)
     t = time.perf_counter()
-    terms = sequence(system, cap, ann.chis)
+    terms = sequence(system, cap, chis)
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -83,6 +89,13 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
     gro = growth(rec, spec.weights is None or min(spec.weights) >= 0)
     timings["growth"] = time.perf_counter() - t
     return DeriveResult(spec, norm, system, ann, rec, gro, timings)
+
+
+def _unscaled(poly: Polynomial, step: int) -> tuple:
+    """chi_B's coefficients from those of chi_{step B}, which is
+    step^d chi_B(x / step)."""
+    return tuple(c / step ** (poly.degree - k)
+                 for k, c in enumerate(poly.coeffs))
 
 
 @dataclass

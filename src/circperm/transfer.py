@@ -30,15 +30,17 @@ group's share of the terms forward by chi_i.  `iterate` (sparse pull rows,
 a start vector and output vectors in, one term list per output out) is the
 stepping loop of the pairing transfers of `extensions`.
 
-Rational weights never reach an inner loop: the census, the A-bar check
-and `sequence` scale their entries to ints by the lcm of the denominators
-and divide the scale out once per result, an int when the quotient is
-integral, else a Fraction.
+Rational weights never reach an inner loop: `build_transfer_system`
+scales them once, by the lcm L of their denominators, and builds the whole
+system on the ints L w_i.  A cycle cover of an N x N matrix has N edges, so
+perm(L M) = L^N perm(M), and `sequence` divides each term once:
+T(n) = T_L(n) / L^size(n), an int when the quotient is integral, else a
+Fraction.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, product
 from operator import add, mul
@@ -133,6 +135,7 @@ class TransferSystem:
     blocks: list[list[list]]          # zero-count blocks, popcount ascending
     beta: list                        # length 4^w, canonical order
     t0: list                          # length 4^w, canonical order
+    scale: int                        # L: dec.spec's weights are L w_i
 
     @property
     def w(self) -> int:
@@ -212,20 +215,6 @@ def _exact(t: int, den: int):
     return t // den if t % den == 0 else Fraction(t, den)
 
 
-def _to_ints(values: list) -> tuple[list[int], int]:
-    """(values * D, D) for D the lcm of the values' denominators."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _int_rows(rows: list[list[tuple]]) -> tuple[list[list[tuple]], int]:
-    """Sparse (col, val) rows scaled to ints by the lcm D of the values'
-    denominators, and D."""
-    d = math.lcm(*(v.denominator for row in rows for _, v in row))
-    return [[(j, v.numerator * (d // v.denominator)) for j, v in row]
-            for row in rows], d
-
-
 def census(dec: Decomposition, n: int) -> list:
     """(Weighted) count of legal covers of L_n per class, in canonical
     order, by a dynamic programme over the tails.
@@ -239,11 +228,9 @@ def census(dec: Decomposition, n: int) -> list:
     its right bit.  A head retires after its last tail: uncovered outside
     the left window, the state dies; covered inside it, its left bit is set.
 
-    Weights are scaled by L, the lcm of their denominators, so the sums run
-    on ints.  From n0 on the windows are w distinct vertices of L_n, so a
-    cover of class (left, right) has |V| - w + popcount(right) edges, and
-    each class is divided by L to that power once, at the end: an int when
-    integral, else a Fraction.
+    The counts are plain sums of products of the weights, exact for any
+    weights; `build_transfer_system` hands it int weights, so that the
+    sums run on ints.
     """
     spec, w = dec.spec, dec.slot_width
     left, right = window_vertices(dec, n)
@@ -253,13 +240,12 @@ def census(dec: Decomposition, n: int) -> list:
     # key bits: covered heads by vertex index, then left, then right slots
     lbit = {at[v]: 1 << nv + i for i, v in enumerate(left)}
     rbit = {at[v]: 1 << nv + w + i for i, v in enumerate(right)}
-    scaled, scale = _to_ints([spec.weight(i) for i in range(len(spec.jumps))])
     counts = [0] * (1 << 2 * w)
     out: list[list] = [[] for _ in verts]
     last = [-1] * nv                 # last[h]: the last tail into head h
     for tail, head, idx in sorted(lattice_edges(spec, n)):
         t, h = at[tail], at[head]
-        out[t].append((1 << h, scaled[idx]))
+        out[t].append((1 << h, spec.weight(idx)))
         last[h] = max(last[h], t)
     done = [0] * nv                  # heads retiring after tail t
     must = [0] * nv                  # ... of which outside the left window
@@ -296,11 +282,8 @@ def census(dec: Decomposition, n: int) -> list:
         states = step
 
     right_at = _positions(right_order(w))
-    fixed = nv - w                   # tails that must take an out-edge
     for key, val in states.items():
         lmask, rmask = key >> nv & (1 << w) - 1, key >> nv + w
-        if scale != 1:
-            val = _exact(val, scale ** (fixed + rmask.bit_count()))
         counts[(lmask << w) + right_at[rmask]] = val
     return counts
 
@@ -319,14 +302,11 @@ def verify_against_census(dec: Decomposition, a_bar: list[list],
     slot bits.  Only the columns of A-bar that T0 reaches are tested."""
     w = dec.slot_width
     n, nr = dec.n0 + 1, 1 << w
-    # A-bar's nonzeros as sparse rows, scaled to ints by D
-    rows, d = _int_rows([[(j, v) for j, v in enumerate(row) if v]
-                         for row in a_bar])
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in a_bar]
     for pos, want in enumerate(census(dec, n)):
         lo, i = pos - pos % nr, pos % nr
         got = sum(v * t0[lo + j] for j, v in rows[i])
-        if got != want * d:
-            got = Fraction(got, d)
+        if got != want:
             left, right = pos // nr, right_order(w)[i]
             bits = "|".join("".join(str(m >> k & 1) for k in range(w))
                             for m in (left, right))
@@ -336,11 +316,20 @@ def verify_against_census(dec: Decomposition, a_bar: list[list],
 
 
 def build_transfer_system(dec: Decomposition) -> TransferSystem:
+    """A-bar, its blocks, beta and T0, checked against the census at n0+1,
+    on the ints L w_i, L the lcm of the weights' denominators (`scale`):
+    the system counts T_L(n) = L^size(n) T(n)."""
+    scale = 1
+    weights = dec.spec.weights
+    if weights is not None:
+        scale = math.lcm(*(v.denominator for v in weights))
+        dec = replace(dec, spec=replace(dec.spec, weights=tuple(
+            v.numerator * (scale // v.denominator) for v in weights)))
     a_bar, blocks = build_alpha(dec)
     beta = build_beta(dec)
     t0 = build_initial(dec)
     verify_against_census(dec, a_bar, t0)
-    return TransferSystem(dec, a_bar, blocks, beta, t0)
+    return TransferSystem(dec, a_bar, blocks, beta, t0, scale)
 
 
 def _pulls(rows: list[list[tuple[int, object]]]) -> list[tuple]:
@@ -403,11 +392,9 @@ def sequence(system: TransferSystem, bound: int,
     is the sum over the groups of the shares s_i(k) = sum_l beta_l . B_i^k
     t_l over the nonzero slices t_l of group i.  As chi_i(B_i) = 0, s_i obeys
     the recurrence chi_i, so its first deg chi_i values, from stepping the
-    group's slices, give all the rest.  The blocks are scaled by the lcm D
-    of their denominators, T0 by D0 and beta by Db, so u_i(k) = D0 Db D^k
-    s_i(k) is an int and obeys chi_i of D B_i, an integer monic polynomial:
-    the shares run forward on ints, groups with equal chi_i as one, and term
-    k is their sum divided once by D0 Db D^k.
+    group's slices, give all the rest.  The system is on ints, so the shares
+    run forward on ints, groups with equal chi_i as one, and term k is
+    their sum divided once by L^size(n0 + k), L the system's `scale`.
     """
     w = system.w
     nr = 1 << w
@@ -424,30 +411,22 @@ def sequence(system: TransferSystem, bound: int,
             start = left * nr + lo
             groups.setdefault(pc, []).append(
                 (seg[lo:lo + size], system.beta[start:start + size]))
-    every = [s for group in groups.values() for s in group]
-    d = math.lcm(*(v.denominator for pc in groups
-                   for row in system.blocks[pc] for v in row))
-    d0 = math.lcm(*(v.denominator for seg, _ in every for v in seg))
-    db = math.lcm(*(v.denominator for _, beta in every for v in beta))
     shares: dict[tuple, list[int]] = {}
     for pc, slices in groups.items():
-        deg = chis[pc].degree
-        chi = [c * d ** (deg - j) for j, c in enumerate(chis[pc].coeffs[:-1])]
+        chi = chis[pc].coeffs[:-1]
         if any(c.denominator != 1 for c in chi):
             raise InconsistencyError(
-                f"chi_{pc} of the scaled block is not an integer polynomial")
-        # the group's slices side by side, stepped by D B_i
+                f"chi_{pc} of the block is not an integer polynomial")
+        # the group's slices side by side, stepped by B_i
         size = len(slices[0][0])
-        pulls = _pulls([[(off + j, v.numerator * (d // v.denominator))
-                         for j, v in enumerate(row) if v]
+        pulls = _pulls([[(off + j, v) for j, v in enumerate(row) if v]
                         for off in range(0, size * len(slices), size)
                         for row in system.blocks[pc]])
-        vec = [v.numerator * (d0 // v.denominator)
-               for seg, _ in slices for v in seg]
-        out = [(j, v.numerator * (db // v.denominator)) for j, v in
+        vec = [v for seg, _ in slices for v in seg]
+        out = [(j, v) for j, v in
                enumerate(v for _, beta in slices for v in beta) if v]
         vals = [sum(o * vec[j] for j, o in out)]
-        while len(vals) < deg:
+        while len(vals) < len(chi):
             vec = _step(pulls, vec)
             vals.append(sum(o * vec[j] for j, o in out))
         key = tuple(map(int, chi))
@@ -456,14 +435,16 @@ def sequence(system: TransferSystem, bound: int,
         shares[key] = vals
     terms: list = []
     fit = Massey(terms)
-    den = d0 * db
+    scale, spec = system.scale, system.dec.spec
     for k in count():
         t = 0
         for chi, vals in shares.items():
             if k == len(vals):
                 vals.append(-sum(map(mul, chi, vals[k - len(chi):])))
             t += vals[k]
-        terms.append(t if den == 1 else _exact(t, den))
+        if scale != 1:
+            # before Massey reads it: T_L vanishes mod a prime that divides L
+            t = _exact(t, scale ** spec.size(system.n0 + k))
+        terms.append(t)
         if _enough(fit, bound):
             return terms
-        den *= d

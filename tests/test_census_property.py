@@ -1,13 +1,14 @@
 """Property tests over generated specs: the state DP of `transfer.census`
 gives, class by class, the weighted count of the legal covers listed one by
 one and classified from their degrees (`test_classify.cover_census`), at the
-base size n0 and at n0 + 1, where the A-bar check reads it."""
+base size n0 and at n0 + 1, where the A-bar check reads it; and the
+transfer system built on them is on ints whatever the weights."""
 import pytest
 
 from circperm.circulant import normalize, parse_spec
 from circperm.corpus import TABLE1
 from circperm.lattice import decompose
-from circperm.transfer import census
+from circperm.transfer import build_transfer_system, census
 from test_classify import cover_census
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -33,10 +34,11 @@ def weighted_specs(draw):
 def _check(jumps, size=None, weights=None):
     dec = decompose(normalize(parse_spec(jumps, size, weights)))
     for n in (dec.n0, dec.n0 + 1):
-        got = census(dec, n)
-        assert got == cover_census(dec, n), (jumps, size, weights, n)
-        # whole values come back as ints, so integer stepping stays on ints
-        assert all(type(v) is int for v in got if v.denominator == 1)
+        assert census(dec, n) == cover_census(dec, n), (jumps, size, weights, n)
+    # the system scales the weights to ints, so integer stepping stays on ints
+    system = build_transfer_system(dec)
+    assert all(type(v) is int for row in system.a_bar for v in row)
+    assert all(type(v) is int for v in system.beta + system.t0)
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)

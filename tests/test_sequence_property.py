@@ -10,8 +10,8 @@ from circperm.algebra import Polynomial, _product, annihilator_from_blocks
 from circperm.circulant import normalize, parse_spec
 from circperm.errors import BlockStructureError, InconsistencyError
 from circperm.lattice import decompose
-from circperm.transfer import (_exact, _group_span, _int_rows, _to_ints,
-                               build_transfer_system, iterate, sequence)
+from circperm.transfer import (_exact, _group_span, build_transfer_system,
+                               iterate, sequence)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -21,11 +21,11 @@ _WEIGHTS = ["1", "2", "-1", "1/2", "0", "-3/2"]
 
 def full_sequence(system, bound: int) -> list:
     """The reference: every nonzero left slice of T0 stepped by its B_i in
-    one block-diagonal system, scaled to ints, with beta as output, until
-    `iterate` has bound + r terms; term k divided once by D0 Db D^k.  The
-    scale leaves the stopping point as it is: mod a prime that divides none
-    of D0, Db and D, every prefix of u(k) = D0 Db D^k T(k) has the linear
-    complexity of the same prefix of T(k)."""
+    one block-diagonal system on ints, with beta as output, until `iterate`
+    has bound + r terms; term k divided once by L^size(n0 + k).  The scale
+    leaves the stopping point as it is: mod a prime that divides no power
+    of L, every prefix of T_L(n0 + k) = L^size(n0 + k) T(n0 + k) has the
+    linear complexity of the same prefix of T."""
     w = system.w
     nr = 1 << w
     rows: list = []
@@ -41,11 +41,10 @@ def full_sequence(system, bound: int) -> list:
                      for row in system.blocks[pc]]
             start += seg[lo:lo + size]
             beta += system.beta[left * nr + lo:left * nr + lo + size]
-    rows, d = _int_rows(rows)
-    start, d0 = _to_ints(start)
-    beta, db = _to_ints(beta)
     raw = iterate(rows, start, [beta], bound)[0]
-    return [_exact(u, d0 * db * d ** k) for k, u in enumerate(raw)]
+    size = system.dec.spec.size
+    return [_exact(u, system.scale ** size(system.n0 + k))
+            for k, u in enumerate(raw)]
 
 
 def _system(jumps, size=None, weights=None):

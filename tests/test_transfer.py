@@ -1,7 +1,6 @@
 """Transfer system assembly: golden fixtures, oracle cross-checks of every
 component, the zero-count group check, and the census check on A-bar with
 its mutation tests."""
-from fractions import Fraction
 
 import pytest
 
@@ -202,7 +201,7 @@ def test_sequence_equals_ryser(jumps, size, n_max):
     ("0,1n+0,2n-1", "3n", "2,-1,1/2", 6),
 ])
 def test_weighted_sequence_equals_ryser(jumps, size, weights, n_max):
-    """The integer stepping divides term k by D0 Db D^k: the weighted terms
+    """The integer stepping divides term k by L^size(n0 + k): the weighted terms
     are the Ryser permanents of the weighted matrices, ints where whole."""
     spec = normalize(parse_spec(jumps, size, weights))
     sys_ = build_transfer_system(decompose(spec))
@@ -213,13 +212,17 @@ def test_weighted_sequence_equals_ryser(jumps, size, weights, n_max):
         assert type(terms[n - sys_.n0]) is type(want), n
 
 
-def test_weighted_alpha_is_rational():
-    sys_ = build_transfer_system(_dec("0,1,2"))
-    wsys = build_transfer_system(decompose(normalize(
-        parse_spec("0,1,2", weights="2,1,1"))))
-    # jump-0 self-loop carries weight 2: the all-ones diagonal block doubles
-    assert wsys.blocks[-1] == [[Fraction(2)]]
-    assert [[int(v) for v in row] for row in sys_.a_bar] != wsys.a_bar
+def test_weighted_blocks_are_scaled_to_ints():
+    def last_block(weights):
+        system = build_transfer_system(decompose(normalize(
+            parse_spec("0,1,2", weights=weights))))
+        block = system.blocks[-1]
+        assert type(block[0][0]) is int
+        return block, system.scale
+    # the jump-0 self-loop carries weight 2: the all-ones diagonal block doubles
+    assert last_block("2,1,1") == ([[2]], 1)
+    # weight 1/2 is scaled by L = 2 to the int 2 * (1/2) = 1
+    assert last_block("1/2,1,1") == ([[1]], 2)
 
 
 def test_scrambled_ordering_triggers_block_error():
