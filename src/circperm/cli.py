@@ -19,7 +19,7 @@ from .errors import (AnnihilationError, BlockStructureError, CollisionError,
                      SpecSyntaxError, StateBudgetError)
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
 from .oracle import ryser_permanent
-from .pipeline import derive, verify
+from .pipeline import check_eval, derive, verify
 from .report import (SCHEMA, decimal_str, derive_report, growth_dict,
                      num_str, recurrence_dict, render_json, render_table,
                      spec_dict, term_values)
@@ -74,6 +74,7 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     spec, budget = _parse(args), _budget(args)
     jump_residues(spec, args.n)     # refuses sizes <= 0 and colliding jumps
+    check_eval(spec, args.n, budget)
     result = derive(spec, budget)
     if args.n + result.normalized.trace.index_shift < result.n0:
         # below the transfer base the recurrence is not known to hold

@@ -34,8 +34,7 @@ def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
     C(n, n/2): an all-ones 20x20 takes 5-6 s and 62 MiB (Python 3.11, a
     2-CPU container), where Glynn's 2^(n-1) sign-vector sum, the oracle
     before this one, took 2 s and 16 MiB.  No caller builds such a matrix:
-    the oracle gets circulant adjacencies and the hook matrices of
-    `transfer.build_beta`, at most w x w.
+    the oracle gets circulant adjacencies.
 
     Entries may be ints or Fractions.  Each row is scaled by the lcm D_r of
     its denominators, so the sums run on ints, and prod D_r is divided out
@@ -43,8 +42,8 @@ def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
 
     The name, the `max_dim` cap and its message ("Ryser dimension N exceeds
     cap M") are kept from the Ryser formula this replaced: the bench tracer
-    wraps `ryser_permanent` where `transfer` and `pipeline` import it, and
-    the CLI prints the message as it stands.
+    wraps `ryser_permanent` where `pipeline` calls it (and where `transfer`
+    still imports it, unused), and the CLI prints the message as it stands.
     """
     n = len(matrix)
     if max_dim is not None and n > max_dim:

@@ -3,6 +3,7 @@ annihilator -> exact term sequence -> minimal recurrence -> growth, plus the
 oracle verification ledger."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -89,6 +90,33 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
     gro = growth(rec, spec.weights is None or min(spec.weights) >= 0)
     timings["growth"] = time.perf_counter() - t
     return DeriveResult(spec, norm, system, ann, rec, gro, timings)
+
+
+def check_eval(spec: CirculantSpec, n: int, budget: Budget = Budget()) -> None:
+    """Refuse with SizeCapError, before any derive, an `eval` of T(n) that
+    the budget does not admit: first a spec wider than the transfer cap, as
+    `derive` refuses it, then an n whose T(n) may be longer than
+    `budget.eval_max_bits` bits, read from the jumps and weights alone.
+
+    Every row of the size(n) x size(n) matrix holds the weights w_i, so with
+    L the lcm of their denominators |perm(L M)| <= S^size(n), S = sum |L w_i|,
+    and T(n) = perm(L M) / L^size(n) has at most size(n) log2(S L) bits in
+    its numerator and denominator together.  `n` must have a matrix
+    (`jump_residues` checks that).
+    """
+    check_width(normalize(spec), budget.transfer_max_width, spec.describe())
+    weights = spec.weights or (1,) * len(spec.jumps)
+    scale = math.lcm(*(v.denominator for v in weights))
+    total = scale * sum(abs(v.numerator) * (scale // v.denominator)
+                        for v in weights)
+    if total <= 1:
+        return                      # |T(n)| <= 1
+    size, cap = spec.size(n), budget.eval_max_bits
+    # log2(total) >= 1, so a size over the cap is refused without a float
+    if size > cap or size * math.log2(total) > cap:
+        raise SizeCapError(
+            f"T({n}) of {spec.describe()} may have more than {cap} bits: "
+            f"size {size} times {math.log2(total):.3f} bits a row")
 
 
 def _unscaled(poly: Polynomial, step: int) -> tuple:

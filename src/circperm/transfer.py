@@ -16,12 +16,16 @@ lexicographic order of the worked example.
 The full transfer matrix A is diag(A-bar, ..., A-bar) with one copy per left
 mask, because extension never touches the left window, so only A-bar is
 stored.  T0 is a census of the legal covers of L_{n0} per class, and
-A-bar is checked against a second census at n0+1: applied, as sparse rows,
-to each left mask's slice of T0 it must give that census.  The census
-never lists covers: it is a transfer of its own inside the lattice, a
-dynamic programme over the tails whose state is the covered heads a later
-tail can still reach plus the two masks, so its cost follows its states,
-not its covers.  A-bar itself is block diagonal in the zero-count groups
+A-bar is checked against a second census at n0+1: T0's nonzero entries,
+pushed through the sparse columns of A-bar, must give that census, compared
+on the union of the two supports.  The census never lists covers: it is a
+transfer of its own inside the lattice, a dynamic programme over the tails
+whose state is the covered heads a later tail can still reach plus the two
+masks, so its cost follows its states, not its covers.  beta is a smaller
+programme of the same kind over the tail slots, matching the right window's
+zero slots onto the left window's by Hook edges, so it visits only its
+nonzero entries.  Nothing here calls the oracles that `verify` checks the
+terms against.  A-bar itself is block diagonal in the zero-count groups
 B_i, which is both the degree-bound argument and the work-saver: each left
 mask's slice of T0 only ever meets its own B_i.  `sequence` makes
 derive's terms from that: it steps each group's slices deg chi_i times,
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, product
+from itertools import compress, count, product
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -50,7 +54,7 @@ from .algebra import Massey, Polynomial
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import (Decomposition, SymEdge, Vertex, lattice_edges,
                       lattice_vertices, row_last)
-from .oracle import ryser_permanent
+from .oracle import ryser_permanent  # unused: bench/tracing.py wraps this name
 
 
 def right_order(w: int) -> list[int]:
@@ -189,24 +193,41 @@ def build_alpha(dec: Decomposition) -> tuple[list[list], list[list[list]]]:
 
 
 def build_beta(dec: Decomposition) -> list:
-    """beta[X] = (weighted) number of Hook subsets completing X, computed as
-    the permanent of the bipartite matrix over the zero slots."""
-    hook_map: dict[tuple[int, int], Fraction | int] = {}
-    for e in dec.hook:
-        key = (slot(dec, e.tail), slot(dec, e.head))
-        hook_map[key] = hook_map.get(key, 0) + dec.spec.weight(e.jump_index)
+    """beta[X] = (weighted) number of Hook subsets completing X, by a
+    dynamic programme over the tail slots b = 0, ..., w-1.
+
+    A completion matches the zero slots of X's right window, one Hook edge
+    each, onto the zero slots of its left window, so beta[X] is the sum
+    over those matchings of the products of their summed Hook weights.  A
+    state is (the right mask so far, the heads used), mapped to the weighted
+    count of the partial matchings that reach it; tail b either stays
+    unmatched, which sets its right bit, or takes hook[(b, a)] into an
+    unused head a.  The left mask of a final state is the complement of its
+    heads.  Only the nonzero entries are visited; the rest of the dense list
+    stays 0.
+    """
     w = dec.slot_width
-    zeros = [[i for i in range(w) if not m >> i & 1] for m in range(1 << w)]
-    rights = right_order(w)
-    beta = []
-    for lz in zeros:
-        for right in rights:
-            rz = zeros[right]
-            if len(lz) != len(rz):
-                beta.append(0)
-                continue
-            m = [[hook_map.get((b, a), 0) for a in lz] for b in rz]
-            beta.append(ryser_permanent(m, max_dim=None))
+    hooks: list[dict[int, object]] = [{} for _ in range(w)]
+    for e in dec.hook:
+        heads, bit = hooks[slot(dec, e.tail)], 1 << slot(dec, e.head)
+        heads[bit] = heads.get(bit, 0) + dec.spec.weight(e.jump_index)
+    states = {0: 1}                  # key: heads used | right mask << w
+    for b, heads in enumerate(hooks):
+        rb = 1 << w + b
+        moves = [(bit, wt) for bit, wt in heads.items() if wt]
+        step: dict[int, object] = {}
+        for key, val in states.items():
+            step[key | rb] = val     # distinct keys: bit w + b is new
+            for bit, wt in moves:
+                if not key & bit:
+                    nk = key | bit
+                    step[nk] = step.get(nk, 0) + val * wt
+        states = step
+    full = (1 << w) - 1
+    right_at = _positions(right_order(w))
+    beta = [0] * (1 << 2 * w)
+    for key, val in states.items():
+        beta[(full & ~key) << w | right_at[key >> w]] = val
     return beta
 
 
@@ -299,20 +320,35 @@ def verify_against_census(dec: Decomposition, a_bar: list[list],
     """A-bar against direct cover counts: A-bar applied to every left
     mask's slice of T0 must give the census of L_{n0+1}; raises
     BlockStructureError otherwise, naming the class as its left and right
-    slot bits.  Only the columns of A-bar that T0 reaches are tested."""
+    slot bits.
+
+    Only the support is visited: T0's nonzero entries are pushed through
+    the sparse columns of A-bar, and the result is compared with the census
+    on the union of both supports, in ascending position, so the first
+    mismatch is the one a walk over all 4^w positions would meet first.
+    Elsewhere both sides are 0.
+    """
     w = dec.slot_width
     n, nr = dec.n0 + 1, 1 << w
-    rows = [[(j, v) for j, v in enumerate(row) if v] for row in a_bar]
-    for pos, want in enumerate(census(dec, n)):
-        lo, i = pos - pos % nr, pos % nr
-        got = sum(v * t0[lo + j] for j, v in rows[i])
-        if got != want:
-            left, right = pos // nr, right_order(w)[i]
+    cols: list[list] = [[] for _ in range(nr)]
+    for i, row in enumerate(a_bar):
+        for j in compress(range(nr), row):
+            cols[j].append((i, row[j]))
+    got: dict[int, object] = {}
+    for pos in compress(range(len(t0)), t0):
+        lo, t = pos - pos % nr, t0[pos]
+        for i, v in cols[pos % nr]:
+            got[lo + i] = got.get(lo + i, 0) + v * t
+    want = census(dec, n)
+    for pos in sorted(got.keys() | set(compress(range(len(want)), want))):
+        have = got.get(pos, 0)
+        if have != want[pos]:
+            left, right = pos // nr, right_order(w)[pos % nr]
             bits = "|".join("".join(str(m >> k & 1) for k in range(w))
                             for m in (left, right))
             raise BlockStructureError(
-                f"A-bar applied to T0 gives {got} covers of class {bits}, "
-                f"but L_{n} of {dec.spec.describe()} has {want}")
+                f"A-bar applied to T0 gives {have} covers of class {bits}, "
+                f"but L_{n} of {dec.spec.describe()} has {want[pos]}")
 
 
 def build_transfer_system(dec: Decomposition) -> TransferSystem:

@@ -8,7 +8,10 @@ from time import perf_counter
 import pytest
 
 from circperm import cli
-from circperm.pipeline import VerificationEntry
+from circperm.budget import Budget
+from circperm.circulant import parse_spec
+from circperm.errors import SizeCapError
+from circperm.pipeline import VerificationEntry, check_eval
 from circperm.report import growth_dict
 
 
@@ -220,6 +223,47 @@ def test_budget_bits_resize_the_transfer_width_cap(capsys):
     code, err = _refusal(capsys, ["eval", "--jumps", "0,1,2", "--n", "9",
                                   "--budget-bits", "3"], 1)
     assert code == 2 and err.endswith("w = 2 exceeds cap 1\n")
+
+
+def test_eval_refuses_an_n_past_the_value_budget(capsys):
+    # |T(n)| <= 3^n here, about 1.6 * 10^20 bits: refused before any derive
+    n = "99999999999999999999"
+    code, err = _refusal(capsys, ["eval", "--jumps", "0,1,2", "--n", n], 1)
+    assert code == 2
+    assert err == (f"budget exceeded: T({n}) of C_n^{{0,1,2}} may have more "
+                   f"than 4194304 bits: size {n} times 1.585 bits a row\n")
+
+
+def test_a_huge_budget_still_answers_or_refuses(capsys):
+    # the value cap is 2^min(bits, 62): a bits count this large must not
+    # build a 2^bits integer
+    bits = ["--budget-bits", "100000000000"]
+    assert cli.main(["derive", "--jumps", "0,1", "--out", "json"] + bits) == 0
+    assert cli.main(["eval", "--jumps", "0,1,2", "--n", "20"] + bits) == 0
+    assert capsys.readouterr().out.endswith("T(20) = 15129\n")
+    n = "99999999999999999999"
+    code, err = _refusal(capsys, ["eval", "--jumps", "0,1,2", "--n", n] + bits, 1)
+    assert code == 2
+    assert err == (f"budget exceeded: T({n}) of C_n^{{0,1,2}} may have more "
+                   f"than {1 << 62} bits: size {n} times 1.585 bits a row\n")
+
+
+@pytest.mark.parametrize("jumps, size, weights, n, bits", [
+    ("0,1,2", None, None, 1000000, 1584963),      # README's eval
+    ("0,1,2", None, None, 38250, 60625),  # the largest n of bench eval-large-n
+    ("0,1,4", None, None, 7650, 12125),
+    ("0,1n+0,2n-1", "3n", None, 15300, 72750),
+    ("0,1,2", None, "2,1,1", 15300, 30600),
+    ("0,1,3", None, "1/2,3,-1", 3825, 15950),
+])
+def test_the_value_budget_admits_the_large_evals(jumps, size, weights, n,
+                                                 bits):
+    spec = parse_spec(jumps, size, weights)
+    check_eval(spec, n)
+    # the bound is size(n) log2(S L): one bit more and a cap refuses
+    check_eval(spec, n, Budget(eval_max_bits=bits))
+    with pytest.raises(SizeCapError, match=f"more than {bits - 1} bits"):
+        check_eval(spec, n, Budget(eval_max_bits=bits - 1))
 
 
 def test_hamiltonian_refuses_while_it_seeds(capsys):

@@ -115,6 +115,53 @@ def test_census_check_names_the_class_by_its_slot_bits(sys012):
         verify_against_census(linear.dec, bad, linear.t0)
 
 
+@pytest.mark.parametrize("jumps,size,col,message", [
+    ("0,1,2", None, 0, "gives 0 covers of class 00|00, but L_5 of "
+     "C_n^{0,1,2} has 1"),
+    ("0,1,2", None, 3, "gives 0 covers of class 11|11, but L_5 of "
+     "C_n^{0,1,2} has 1"),
+    ("1,1n+1,2n+0", "3n", 4, "gives 0 covers of class 101|101, but L_3 of "
+     "C_{3n}^{1,n+1,2n} has 1"),
+    ("1,1n+1,2n+0", "3n", 5, "gives 1 covers of class 110|011, but L_3 of "
+     "C_{3n}^{1,n+1,2n} has 2"),
+])
+def test_census_check_names_a_class_that_a_bar_no_longer_reaches(
+        jumps, size, col, message):
+    """A zeroed column that T0 reaches leaves census classes with nothing
+    from A-bar . T0; the support walk names the first of them in position
+    order, the class the walk over all 4^w positions named."""
+    system = build_transfer_system(_dec(jumps, size))
+    nr = 1 << system.w
+    assert any(system.t0[pos] for pos in range(col, len(system.t0), nr))
+    bad = [list(row) for row in system.a_bar]
+    for row in bad:
+        row[col] = 0
+    with pytest.raises(BlockStructureError) as info:
+        verify_against_census(system.dec, bad, system.t0)
+    assert str(info.value) == "A-bar applied to T0 " + message
+
+
+@pytest.mark.parametrize("jumps,size,weights", [
+    ("0,2,5", None, None), ("1,1n+0,2n+1", "3n+1", None),
+    ("0,1,4", None, "1/2,3,-1"), ("0,1n+0,2n-1", "3n", "2,-1,1/2"),
+])
+def test_the_transfer_build_calls_no_oracle(monkeypatch, jumps, size, weights):
+    """beta, T0 and the census check run without the Ryser oracle that
+    `verify` checks their terms against."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the transfer build called ryser_permanent")
+    dec = _dec(jumps, size, weights)
+    monkeypatch.setattr("circperm.oracle.ryser_permanent", refuse)
+    monkeypatch.setattr("circperm.transfer.ryser_permanent", refuse)
+    system = build_transfer_system(dec)
+    monkeypatch.undo()
+    # beta . T0 counts the covers of L_n0 closed by Hook edges: C at n0
+    spec, n0 = dec.spec, dec.n0
+    total = sum(b * t for b, t in zip(system.beta, system.t0))
+    assert total == (ryser_permanent(adjacency_matrix(spec, n0))
+                     * system.scale ** spec.size(n0))
+
+
 def test_self_loop_only_spec():
     sys_ = build_transfer_system(_dec("0"))
     assert sys_.a_bar == [[1]]
