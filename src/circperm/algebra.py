@@ -1,10 +1,13 @@
 """Exact polynomial/matrix algebra and recurrence machinery.
 
 Every asserted value is exact.  Characteristic polynomials are computed on
-ints: each block is scaled to an integer matrix, its characteristic
-polynomial is found mod 61-bit primes by Hessenberg reduction, and the
-residues are combined by CRT under a Hadamard bound on the coefficients.
-Annihilation is then checked exactly over ints.  Recurrences are fitted
+ints: each block is an integer matrix, the transfer system being built on
+integer weights, so its characteristic polynomial chi_i is an int
+coefficient list, found mod 61-bit primes by Hessenberg reduction and
+combined by CRT under a Hadamard bound on the coefficients.  Annihilation
+is checked and the distinct chi_i are multiplied exactly on ints; the
+rational annihilator of a rational-weight spec is made once from that
+product, for the report (`pipeline.derive`).  Recurrences are fitted
 mod the same primes, lifted to rationals and checked exactly on ints, and
 evaluated on scaled ints.  Growth isolates only the top real root of the
 characteristic polynomial, on ints, and bisects it until its rounding to
@@ -15,27 +18,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import AnnihilationError, InconsistencyError, NoRecurrenceError
 
-Matrix = Sequence[Sequence]
+Matrix = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficients ascending by degree; trimmed so the leading one is nonzero."""
+    """Coefficients ascending by degree, ints or Fractions, the leading one
+    nonzero."""
 
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_list(cs) -> "Polynomial":
-        cs = [Fraction(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
+    coeffs: tuple
 
     @property
     def degree(self) -> int:
@@ -154,46 +152,35 @@ def _lift(values: list[int], modulus: int, residues: list[int],
     return [c + modulus * ((r - c) * inv % p) for c, r in zip(values, residues)]
 
 
-def char_poly(matrix: Matrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - M), exact.
+def char_poly(matrix: Matrix) -> list[int]:
+    """Coefficients of the monic characteristic polynomial det(xI - M) of
+    an integer matrix M, ascending, exact.
 
-    With D the lcm of the entries' denominators, DM is an integer matrix
-    and chi_M(x) = D^(-d) chi_DM(Dx).  chi_DM is found mod 61-bit primes
-    (_char_poly_mod) and combined by CRT until the primes' product exceeds
-    2 * bound + 1, where bound = prod_i (1 + ceil(|row_i|_2)) is at least
-    every coefficient's absolute value: c_k is a signed sum of principal
-    minors, each at most the product of its rows' norms (Hadamard).  The
-    result is read in the symmetric range.
+    They are found mod 61-bit primes (_char_poly_mod) and combined by CRT
+    until the primes' product exceeds 2 * bound + 1, where bound =
+    prod_i (1 + ceil(|row_i|_2)) is at least every coefficient's absolute
+    value: c_k is a signed sum of principal minors, each at most the product
+    of its rows' norms (Hadamard).  The result is read in the symmetric
+    range.
     """
-    dim = len(matrix)
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
-    m = [[int(v * scale) for v in row] for row in matrix]
     bound = 1
-    for row in m:
+    for row in matrix:
         bound *= 1 + _norm(row)
-    cs, modulus, i = [0] * (dim + 1), 1, 0
+    cs, modulus, i = [0] * (len(matrix) + 1), 1, 0
     while modulus <= 2 * bound + 1:
         p = _prime(i)
-        cs = _lift(cs, modulus, _char_poly_mod(m, p), p)
+        cs = _lift(cs, modulus, _char_poly_mod(matrix, p), p)
         modulus, i = modulus * p, i + 1
-    cs = [c - modulus if 2 * c > modulus else c for c in cs]
-    return Polynomial(tuple(Fraction(c, scale ** (dim - k))
-                            for k, c in enumerate(cs)))
+    return [c - modulus if 2 * c > modulus else c for c in cs]
 
 
-def _check_kills(poly: Polynomial, block: Matrix, index: int) -> None:
-    """Raise unless poly(block) = 0, checked over ints: with D the lcm of
-    the block's denominators and L that of the coefficients', it is
-    sum_k L c_k D^(deg-k) (D block)^k = 0, evaluated by Horner."""
+def _check_kills(chi: Sequence[int], block: Matrix, index: int) -> None:
+    """Raise unless chi(block) = 0, for int coefficients (ascending) and an
+    integer block: Horner's rule, exact on ints."""
     dim = len(block)
-    scale = math.lcm(*(v.denominator for row in block for v in row))
-    m = [[(j, int(v * scale)) for j, v in enumerate(row) if v] for row in block]
-    coeffs = [Fraction(c) * scale ** (poly.degree - k)
-              for k, c in enumerate(poly.coeffs)]
-    common = math.lcm(*(c.denominator for c in coeffs))
+    m = [[(j, v) for j, v in enumerate(row) if v] for row in block]
     acc = [[0] * dim for _ in range(dim)]
-    for c in reversed(coeffs):
-        c = int(c * common)
+    for c in reversed(chi):
         nxt = []
         for i, row in enumerate(acc):
             out = [0] * dim
@@ -210,13 +197,6 @@ def _check_kills(poly: Polynomial, block: Matrix, index: int) -> None:
             f"(dimension {dim})")
 
 
-def verify_annihilates(poly: Polynomial, blocks: Sequence[Matrix]) -> None:
-    """Raise AnnihilationError, naming the block, unless poly(B) = 0 for
-    every block; exact, on ints."""
-    for i, b in enumerate(blocks):
-        _check_kills(poly, b, i)
-
-
 def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product of two integer polynomials (schoolbook)."""
     out = [0] * (len(a) + len(b) - 1)
@@ -227,39 +207,28 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _product(polys: Sequence[Polynomial]) -> tuple[Fraction, ...]:
-    """Coefficients of the product of the polynomials, on ints: each factor
-    is cleared of its denominators, the integer factors are multiplied, and
-    the product of the clearing scales is divided out once."""
-    out, scale = [1], 1
-    for f in polys:
-        d = math.lcm(*(c.denominator for c in f.coeffs))
-        out = _mul(out, [c.numerator * (d // c.denominator) for c in f.coeffs])
-        scale *= d
-    return tuple(Fraction(c, scale) for c in out)
-
-
 @dataclass(frozen=True)
 class Annihilator(Polynomial):
     """A polynomial that kills every block, with the characteristic
-    polynomial chi_i of each block B_i kept in `chis` (block order, repeats
-    included): the part of the sequence that comes from B_i obeys chi_i."""
+    polynomial chi_i of each block B_i kept in `chis` as its ascending int
+    coefficients (block order, repeats included): the part of the sequence
+    that comes from B_i obeys chi_i."""
 
-    chis: tuple[Polynomial, ...]
+    chis: tuple[tuple[int, ...], ...]
 
 
 def annihilator_from_blocks(blocks: Sequence[Matrix]) -> Annihilator:
-    """Product of the blocks' characteristic polynomials chi_i, repeated
-    factors included once, with every chi_i handed on in `chis`.  Each block
-    is checked against its own chi_i, which the product is a multiple of, so
-    the product kills every block.  The distinct factors are multiplied on
-    ints (`_product`)."""
+    """Product of the integer blocks' characteristic polynomials chi_i,
+    repeated factors included once, with every chi_i handed on in `chis`;
+    all int coefficients.  Each block is checked against its own chi_i,
+    which the product is a multiple of, so the product kills every block."""
     chis = []
     for i, b in enumerate(blocks):
-        cp = char_poly(b)
-        _check_kills(cp, b, i)
-        chis.append(cp)
-    return Annihilator(_product(list(dict.fromkeys(chis))), tuple(chis))
+        chi = char_poly(b)
+        _check_kills(chi, b, i)
+        chis.append(tuple(chi))
+    return Annihilator(tuple(reduce(_mul, dict.fromkeys(chis), [1])),
+                       tuple(chis))
 
 
 @dataclass(frozen=True)

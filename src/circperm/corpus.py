@@ -139,11 +139,10 @@ def _derive_cached() -> Callable[[str, Optional[str], Optional[str]], DeriveResu
     return get
 
 
-def check_golden_transfer(get=None) -> list[Check]:
+def check_golden_transfer(get) -> list[Check]:
     """Worked-example reproduction: beta, T-bar(4), A-bar, the zero-count
     blocks and the annihilator, all bit-exact, and A = diag(A-bar x4)
     checked against the cover census of L_5."""
-    get = get or _derive_cached()
     res = get("0,1,2")
     sys_ = res.system
     out = [
@@ -166,8 +165,7 @@ def check_golden_transfer(get=None) -> list[Check]:
     return out
 
 
-def check_table1(get=None) -> list[Check]:
-    get = get or _derive_cached()
+def check_table1(get) -> list[Check]:
     out: list[Check] = []
     for row in TABLE1:
         res = get(row["jumps"], row["size"])
@@ -208,10 +206,9 @@ def _ledger(label: str, spec: CirculantSpec, n_max: int,
     return True, len(checked), ""
 
 
-def check_oracle_equivalence(budget: Budget = Budget(), get=None,
+def check_oracle_equivalence(get, budget: Budget = Budget(),
                              size_cap: int = 20) -> list[Check]:
     """Recurrence vs Ryser vs enumeration, every corpus spec, sizes <= cap."""
-    get = get or _derive_cached()
     specs = [(row["jumps"], row["size"]) for row in TABLE1]
     specs += [("1,2,3", None), ("1,2", None)]
     out: list[Check] = []
@@ -226,8 +223,7 @@ def check_oracle_equivalence(budget: Budget = Budget(), get=None,
     return out
 
 
-def check_degree_bounds(get=None) -> list[Check]:
-    get = get or _derive_cached()
+def check_degree_bounds(get) -> list[Check]:
     out: list[Check] = []
     for row in TABLE1:
         res = get(row["jumps"], row["size"])
@@ -244,8 +240,7 @@ def check_degree_bounds(get=None) -> list[Check]:
     return out
 
 
-def check_growth(get=None) -> list[Check]:
-    get = get or _derive_cached()
+def check_growth(get) -> list[Check]:
     out: list[Check] = []
     for row in TABLE1:
         res = get(row["jumps"], row["size"])
@@ -288,9 +283,8 @@ def check_table2(budget: Budget = Budget()) -> list[Check]:
     return out
 
 
-def check_shift_pairs(get=None) -> list[Check]:
+def check_shift_pairs(get) -> list[Check]:
     """Permanents agree across each shifted pair; TC1 does not (C^0 vs C^1)."""
-    get = get or _derive_cached()
     out: list[Check] = []
     for (j1, s1), (j2, s2) in SHIFT_PAIRS:
         r1, r2 = get(j1, s1), get(j2, s2)
@@ -334,8 +328,7 @@ def check_hamiltonian(budget: Budget = Budget()) -> list[Check]:
     return out
 
 
-def check_weighted(get=None) -> list[Check]:
-    get = get or _derive_cached()
+def check_weighted(get) -> list[Check]:
     out: list[Check] = []
     case = WEIGHTED_CASE
     wres = get(case["jumps"], None, case["weights"])
@@ -365,7 +358,7 @@ def run_corpus(budget: Budget = Budget()) -> tuple[list[Check], bool]:
     checks += check_table1(get)
     checks += check_degree_bounds(get)
     checks += check_growth(get)
-    checks += check_oracle_equivalence(budget, get)
+    checks += check_oracle_equivalence(get, budget)
     checks += check_table2(budget)
     checks += check_shift_pairs(get)
     checks += check_hamiltonian(budget)

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
-from .algebra import (Annihilator, GrowthEstimate, Polynomial, Recurrence,
+from .algebra import (Annihilator, GrowthEstimate, Recurrence,
                       annihilator_from_blocks, eval_recurrence, growth,
                       min_recurrence)
 from .budget import Budget
@@ -25,7 +26,8 @@ class DeriveResult:
     spec: CirculantSpec
     normalized: CirculantSpec
     system: TransferSystem       # on the integer weights L w_i
-    annihilator: Annihilator     # of the blocks of the weights w_i
+    # coeffs: of the blocks of the weights w_i; chis: of system's blocks
+    annihilator: Annihilator
     recurrence: Recurrence
     growth: GrowthEstimate
     timings: dict[str, float] = field(default_factory=dict)
@@ -68,17 +70,15 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
         ann = annihilator_from_blocks(system.blocks)
     except AnnihilationError as exc:
         raise AnnihilationError(f"{exc} of {spec.describe()}") from exc
-    chis = ann.chis
     if system.scale != 1:
         # a step of the integer system adds p edges: its blocks are L^p B_i
-        step = system.scale ** norm.size_coeff
-        ann = Annihilator(_unscaled(ann, step), tuple(
-            Polynomial(_unscaled(chi, step)) for chi in ann.chis))
+        ann = replace(ann, coeffs=_unscaled(
+            ann.coeffs, system.scale ** norm.size_coeff))
     timings["annihilator"] = time.perf_counter() - t
 
     cap = max(ann.degree, 1)
     t = time.perf_counter()
-    terms = sequence(system, cap, chis)
+    terms = sequence(system, cap, ann.chis)
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -119,11 +119,11 @@ def check_eval(spec: CirculantSpec, n: int, budget: Budget = Budget()) -> None:
             f"size {size} times {math.log2(total):.3f} bits a row")
 
 
-def _unscaled(poly: Polynomial, step: int) -> tuple:
-    """chi_B's coefficients from those of chi_{step B}, which is
-    step^d chi_B(x / step)."""
-    return tuple(c / step ** (poly.degree - k)
-                 for k, c in enumerate(poly.coeffs))
+def _unscaled(coeffs: tuple[int, ...], step: int) -> tuple[Fraction, ...]:
+    """The coefficients of p_B from those of p_{step B}, which is
+    step^d p_B(x / step), for a product p of characteristic polynomials."""
+    d = len(coeffs) - 1
+    return tuple(Fraction(c, step ** (d - k)) for k, c in enumerate(coeffs))
 
 
 @dataclass

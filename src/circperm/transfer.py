@@ -50,7 +50,7 @@ from itertools import compress, count, product
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .algebra import Massey, Polynomial
+from .algebra import Massey
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import (Decomposition, SymEdge, Vertex, lattice_edges,
                       lattice_vertices, row_last)
@@ -416,12 +416,13 @@ def iterate(rows: list[list[tuple[int, object]]], start: list,
 
 
 def sequence(system: TransferSystem, bound: int,
-             chis: Sequence[Polynomial]) -> list:
+             chis: Sequence[Sequence[int]]) -> list:
     """Exact T(n) for n = n0, n0 + 1, ..., until there are the `_enough`
     terms that `min_recurrence` needs for a sequence of order <= `bound`:
     each zero-count group is stepped deg chi_i times, then run forward by
-    its own chi_i, the characteristic polynomial of B_i (`chis`, in block
-    order, as `annihilator_from_blocks` hands them on).
+    its own chi_i, the characteristic polynomial of the integer block B_i
+    (`chis`: ascending int coefficient lists in block order, as
+    `annihilator_from_blocks` hands them on).
 
     Each left mask's slice of T0 is supported on the zero-count group
     matching its own popcount i, so only B_i ever acts on it, and T(n0 + k)
@@ -449,10 +450,7 @@ def sequence(system: TransferSystem, bound: int,
                 (seg[lo:lo + size], system.beta[start:start + size]))
     shares: dict[tuple, list[int]] = {}
     for pc, slices in groups.items():
-        chi = chis[pc].coeffs[:-1]
-        if any(c.denominator != 1 for c in chi):
-            raise InconsistencyError(
-                f"chi_{pc} of the block is not an integer polynomial")
+        chi = tuple(chis[pc][:-1])
         # the group's slices side by side, stepped by B_i
         size = len(slices[0][0])
         pulls = _pulls([[(off + j, v) for j, v in enumerate(row) if v]
@@ -465,10 +463,9 @@ def sequence(system: TransferSystem, bound: int,
         while len(vals) < len(chi):
             vec = _step(pulls, vec)
             vals.append(sum(o * vec[j] for j, o in out))
-        key = tuple(map(int, chi))
-        if key in shares:
-            vals = list(map(add, shares[key], vals))
-        shares[key] = vals
+        if chi in shares:
+            vals = list(map(add, shares[chi], vals))
+        shares[chi] = vals
     terms: list = []
     fit = Massey(terms)
     scale, spec = system.scale, system.dec.spec

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from circperm import algebra
-from circperm.algebra import (Polynomial, Recurrence, _product, _squarefree,
-                              _top_root, annihilator_from_blocks, char_poly,
-                              eval_recurrence, growth, min_recurrence,
-                              verify_annihilates)
+from circperm.algebra import (Polynomial, Recurrence, _check_kills, _mul,
+                              _squarefree, _top_root, annihilator_from_blocks,
+                              char_poly, eval_recurrence, growth,
+                              min_recurrence)
 from circperm.errors import (AnnihilationError, InconsistencyError,
                              NoRecurrenceError)
 from circperm.report import decimal_str
@@ -18,15 +18,11 @@ from circperm.report import decimal_str
 F = Fraction
 
 
-def coeffs(p):
-    return [F(c) for c in p]
-
-
 def test_char_poly_knowns():
-    assert char_poly([[1, 1], [1, 0]]).coeffs == tuple(coeffs([-1, -1, 1]))
-    assert char_poly([[1]]).coeffs == tuple(coeffs([-1, 1]))
+    assert char_poly([[1, 1], [1, 0]]) == [-1, -1, 1]
+    assert char_poly([[1]]) == [-1, 1]
     ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert char_poly(ident).coeffs == tuple(coeffs([-1, 3, -3, 1]))   # (x-1)^3
+    assert char_poly(ident) == [-1, 3, -3, 1]   # (x-1)^3
 
 
 def test_char_poly_block_diagonal_multiplies():
@@ -41,19 +37,19 @@ def test_char_poly_block_diagonal_multiplies():
         for i in range(3):
             for j in range(3):
                 block[2 + i][2 + j] = b[i][j]
-        assert char_poly(block).coeffs == _product([char_poly(a), char_poly(b)])
+        assert char_poly(block) == _mul(char_poly(a), char_poly(b))
 
 
 def test_annihilator_dedups_repeated_factors():
     p = annihilator_from_blocks([[[1]], [[1, 1], [1, 0]], [[1]]])
-    assert p.coeffs == tuple(coeffs([1, 0, -2, 1]))    # (x-1)(x^2-x-1)
-    assert annihilator_from_blocks([[[1]]]).coeffs == tuple(coeffs([-1, 1]))
+    assert p.coeffs == (1, 0, -2, 1)    # (x-1)(x^2-x-1)
+    assert p.chis == ((-1, 1), (-1, -1, 1), (-1, 1))
+    assert annihilator_from_blocks([[[1]]]).coeffs == (-1, 1)
 
 
-def test_verify_annihilates_raises_on_wrong_polynomial():
-    wrong = Polynomial.from_list([-2, 1])      # x - 2 does not kill (1)
-    with pytest.raises(AnnihilationError):
-        verify_annihilates(wrong, [[[1]]])
+def test_kill_check_raises_on_wrong_polynomial():
+    with pytest.raises(AnnihilationError, match="B_3 .dimension 1"):
+        _check_kills([-2, 1], [[1]], 3)      # x - 2 does not kill (1)
 
 
 def test_min_recurrence_fibonacci():
@@ -253,5 +249,5 @@ def test_squarefree_after_an_unlucky_prime_is_the_prs_answer(monkeypatch):
 
 
 def test_polynomial_str():
-    p = Polynomial.from_list([1, 0, -2, 1])
+    p = Polynomial((1, 0, -2, 1))
     assert str(p) == "x^3-2x^2+1"

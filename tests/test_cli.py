@@ -1,8 +1,10 @@
 """CLI surface: flags, output formats, exit codes, JSON round-trip."""
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -27,6 +29,22 @@ def test_derive_table(capsys):
     assert "T(n) = 2*T(n-1) -T(n-3)" in out
     assert "9, 13, 20" in out
     assert "growth      T(n) ~ phi^n, phi = 1.6180339887\n" in out
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("const", ["--jumps", "0,1,2"]),
+    ("const_weighted", ["--jumps", "0,1,2", "--weights", "1/2,1,3"]),
+    ("linear_weighted", ["--jumps", "0,1n+0", "--size", "2n+1",
+                         "--weights", "1/2,3"]),
+])
+def test_derive_json_report_is_pinned(capsys, name, argv):
+    """JSON reports stay byte-identical from change to change, timings
+    aside: the whole report, against a recorded one (tests/reports)."""
+    code, out = run(capsys, "derive", *argv, "--out", "json")
+    assert code == 0
+    out = re.sub(r',\n  "timings": \{[^}]*\}', "", out)
+    want = Path(__file__).parent / "reports" / f"{name}.json"
+    assert out == want.read_text()
 
 
 def test_derive_degenerate_single_self_loop(capsys):
@@ -327,8 +345,8 @@ def test_failed_annihilation_check_names_the_block_and_spec(capsys, monkeypatch)
     from circperm import algebra
 
     # x^d + 1 kills none of the 0/1 blocks of {0,1,2}
-    monkeypatch.setattr(algebra, "char_poly", lambda b: algebra.Polynomial.from_list(
-        [1] + [0] * (len(b) - 1) + [1]))
+    monkeypatch.setattr(algebra, "char_poly",
+                        lambda b: [1] + [0] * (len(b) - 1) + [1])
     assert cli.main(["derive", "--jumps", "0,1,2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1

@@ -1,19 +1,20 @@
 """Property tests over generated specs: derive is invariant under shifting
 every jump, and its terms, constant or linear in n, weighted or not, are
-the Ryser permanents of the matrices; with weights, its annihilator is that
-of the rational blocks."""
+the Ryser permanents of the matrices; with weights, its annihilator is the
+Faddeev-LeVerrier product of the rational blocks."""
 from fractions import Fraction
 from itertools import count
 
 import pytest
 
-from circperm.algebra import annihilator_from_blocks
 from circperm.circulant import (adjacency_matrix, jump_residues, normalize,
                                 parse_spec)
 from circperm.errors import CollisionError
 from circperm.lattice import decompose
 from circperm.oracle import ryser_permanent
 from circperm.pipeline import derive
+from test_charpoly_property import faddeev_char_poly
+from test_sequence_property import fraction_product
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -23,11 +24,15 @@ _WEIGHTS = ["1", "2", "-1", "1/2", "0", "-3/2", "2/3"]
 
 def _check_annihilator(res):
     """The integer system steps by L^p B_i, L its scale: derive reports the
-    annihilator of the blocks B_i themselves."""
+    product of the distinct Faddeev-LeVerrier polynomials of the blocks B_i
+    themselves, and hands on the chi_i of the integer blocks L^p B_i."""
     step = res.system.scale ** res.normalized.size_coeff
-    blocks = [[[Fraction(v, step) for v in row] for row in b]
-              for b in res.system.blocks]
-    assert res.annihilator == annihilator_from_blocks(blocks)
+    chis = dict.fromkeys(
+        tuple(faddeev_char_poly([[Fraction(v, step) for v in row] for row in b]))
+        for b in res.system.blocks)
+    assert list(res.annihilator.coeffs) == fraction_product(chis)
+    assert res.annihilator.chis == tuple(
+        tuple(faddeev_char_poly(b)) for b in res.system.blocks)
 
 
 @st.composite

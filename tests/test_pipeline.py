@@ -27,7 +27,8 @@ import pytest
 
 
 @pytest.mark.parametrize("key", [("0,1,2", None), ("0,1n+0,2n-1", "3n"),
-                                 ("2,1n+1,2n+2", "3n+1")])
+                                 ("2,1n+1,2n+2", "3n+1"),
+                                 ("0,1,2", None, "1/2,1,3")])
 def test_recurrence_agrees_with_sequence_past_fit_window(derived, key):
     res = derived(*key)
     from circperm.algebra import eval_recurrence
