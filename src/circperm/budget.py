@@ -15,8 +15,8 @@ from .errors import InconsistencyError
 @dataclass(frozen=True)
 class Budget:
     ryser_max_dim: int = 24       # column-set DP, exponential in open columns; dimension cap
-    enum_max_size: int = 20       # exhaustive cover enumeration: matrix size cap
-    enum_max_jumps: int = 4       # exhaustive cover enumeration: jump count cap
+    enum_max_size: int = 20       # cover-statistics DP, exponential in open columns; size cap
+    enum_max_jumps: int = 4       # cover-statistics DP: jump count cap
     pairing_state_cap: int = 4096  # augmented (pairing x moment) dimension cap
     transfer_max_width: int = 10  # transfer class width w: 4^w classes
     eval_max_bits: int = 1 << 22  # eval: bound on the bit length of T(n)

@@ -88,8 +88,8 @@ TABLE1 = [
 ]
 
 # The published table prints T(6) = 12 for C^{0,1,2}; the worked example's
-# own beta/A-bar/T-bar(4) give beta·A²·T̄(4) = 20, as do Ryser, exhaustive
-# enumeration, and the closed form Lucas(n)+2.  Kept for the defect test.
+# own beta/A-bar/T-bar(4) give beta·A²·T̄(4) = 20, as do both oracles and
+# the closed form Lucas(n)+2.  Kept for the defect test.
 TABLE1_MISPRINT = {"jumps": "0,1,2", "n": 6, "printed": 12, "actual": 20}
 
 # -- total-cycle-count rows ---------------------------------------------------

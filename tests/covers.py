@@ -1,9 +1,71 @@
-"""Exhaustive references the tests check the transfer code against: every
-legal cover of a lattice listed one by one, and the pairing engines' seeds
-folded from those covers.  Nothing under src uses them."""
+"""Exhaustive references the tests check src against: every legal cover
+of a lattice listed one by one, the pairing engines' seeds folded from
+those covers, and a backtracker that visits every cycle cover of a
+circulant one at a time.  Nothing under src uses them."""
 from typing import Hashable, Iterator, Sequence
 
+from circperm.circulant import CirculantSpec, jump_residues
 from circperm.extensions import Pairing, SignedModel, Slot
+from circperm.oracle import CoverStats
+
+
+def backtrack_stats(spec: CirculantSpec, n: int, i_max: int) -> CoverStats:
+    """`oracle.enumerate_stats` without its caps, by backtracking over the
+    cycle covers of C at index n one at a time.
+
+    Rows are assigned in order.  A column whose last candidate row is the
+    current one must be taken by it when still free, so a branch that
+    strands a column dies at that row instead of at the leaf.  The cycle
+    count is kept as the covers grow: the assigned edges form disjoint
+    paths, `first[end]` and `last[start]` link each path's endpoints, and an
+    edge row -> col either closes the path that runs from col to row (one
+    more cycle) or joins two paths, in O(1) either way.
+    """
+    size = spec.size(n)
+    if size == 0:
+        return CoverStats(1, tuple(1 if t == 0 else 0 for t in range(i_max + 1)),
+                          0)
+
+    residues = list(jump_residues(spec, n))
+    targets = [[(i + r) % size for r in residues] for i in range(size)]
+    due = [0] * size          # due[row]: columns with no candidate row after it
+    for col in range(size):
+        due[max((col - r) % size for r in residues)] |= 1 << col
+
+    first = list(range(size))  # first[v]: start of the path that ends at v
+    last = list(range(size))   # last[v]: end of the path that starts at v
+    moment_sums = [0] * (i_max + 1)
+    ham = 0
+
+    def rec(row: int, used: int, cycles: int):
+        nonlocal ham
+        if row == size:
+            for t in range(i_max + 1):
+                moment_sums[t] += cycles ** t
+            if cycles == 1:
+                ham += 1
+            return
+        forced = due[row] & ~used
+        if forced & (forced - 1):
+            return            # two stranded columns, one row
+        cols = [forced.bit_length() - 1] if forced else targets[row]
+        start = first[row]
+        for col in cols:
+            bit = 1 << col
+            if used & bit:
+                continue
+            if start == col:
+                rec(row + 1, used | bit, cycles + 1)
+            else:
+                end = last[col]
+                last[start] = end
+                first[end] = start
+                rec(row + 1, used | bit, cycles)
+                last[start] = row
+                first[end] = col
+
+    rec(0, 0, 0)
+    return CoverStats(moment_sums[0], tuple(moment_sums), ham)
 
 
 def enumerate_legal_covers(vertices: Sequence[Hashable],

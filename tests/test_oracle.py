@@ -1,6 +1,6 @@
 """Brute-force oracles: the column-set DP vs Ryser vs naive permanents,
-enumeration statistics vs a sum over all permutations, and the oracles'
-independence from the code they check."""
+the cover-statistics DP vs backtracking and a sum over all permutations,
+and the oracles' independence from the code they check."""
 import ast
 import math
 import random
@@ -12,10 +12,12 @@ import pytest
 
 import circperm.oracle
 from circperm.budget import Budget
-from circperm.circulant import adjacency_matrix, parse_spec
-from circperm.errors import CollisionError, SizeCapError
+from circperm.circulant import adjacency_matrix, jump_residues, parse_spec
+from circperm.corpus import TABLE1
+from circperm.errors import CollisionError, InconsistencyError, SizeCapError
 from circperm.oracle import brute_hamiltonian, enumerate_stats, ryser_permanent
 from circperm.pipeline import verify
+from covers import backtrack_stats
 
 
 def naive_permanent(m):
@@ -295,6 +297,63 @@ def test_enumerate_stats_matches_permutations(case):
     got = enumerate_stats(parse_spec(",".join(map(str, jumps))), size, i_max=2)
     assert (got.count, got.moment_sums, got.hamiltonian_count) \
         == permutation_stats(jumps, size, 2)
+
+
+def _has_matrix(spec, n):
+    try:
+        jump_residues(spec, n)
+    except (CollisionError, InconsistencyError):
+        return False
+    return True
+
+
+@st.composite
+def wider_jump_sets_and_sizes(draw):
+    """1-4 distinct jumps in [-6, 6] and a size 1..12 at which no two of
+    them collide, as (jumps, size formula, n)."""
+    jumps = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4,
+                          unique=True))
+    sizes = [n for n in range(1, 13)
+             if len({j % n for j in jumps}) == len(jumps)]
+    hypothesis.assume(sizes)
+    return ",".join(map(str, jumps)), None, draw(st.sampled_from(sizes))
+
+
+def _linear_table1_examples(test):
+    """An explicit example for each linear TABLE1 row at each n <= 5 with a
+    matrix."""
+    for row in TABLE1:
+        if row["size"] is None:
+            continue
+        spec = parse_spec(row["jumps"], row["size"])
+        for n in range(1, 6):
+            if _has_matrix(spec, n):
+                test = hypothesis.example((row["jumps"], row["size"], n))(test)
+    return test
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(wider_jump_sets_and_sizes())
+@hypothesis.example(("2,3,6", None, 19))      # 0,1,4 shifted by 2, as benched
+@hypothesis.example(("3,4,5", None, 19))      # 1,2,3 shifted by 2
+@_linear_table1_examples
+def test_enumerate_stats_matches_backtracking(case):
+    jumps, size, n = case
+    spec = parse_spec(jumps, size)
+    assert enumerate_stats(spec, n, 2) == backtrack_stats(spec, n, 2)
+
+
+@pytest.mark.parametrize("row", TABLE1, ids=lambda row: row["name"])
+def test_oracles_agree_up_to_the_enumeration_cap(row):
+    spec = parse_spec(row["jumps"], row["size"])
+    cap = Budget().enum_max_size
+    checked = []
+    for n in range(cap + 1):
+        if spec.size(n) <= cap and _has_matrix(spec, n):
+            assert (ryser_permanent(adjacency_matrix(spec, n))
+                    == enumerate_stats(spec, n, 2).count), n
+            checked.append(spec.size(n))
+    assert max(checked) > cap - spec.size_coeff
 
 
 def test_oracle_imports_none_of_the_code_it_checks():
