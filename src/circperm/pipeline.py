@@ -13,7 +13,8 @@ from .algebra import (Annihilator, GrowthEstimate, Recurrence,
                       annihilator_from_blocks, eval_recurrence, growth,
                       min_recurrence)
 from .budget import Budget
-from .circulant import CirculantSpec, adjacency_matrix, normalize
+from .circulant import (CirculantSpec, adjacency_matrix, jump_residues,
+                        normalize)
 from .errors import (AnnihilationError, CollisionError, InconsistencyError,
                      SizeCapError)
 from .lattice import check_width, decompose
@@ -41,7 +42,10 @@ class DeriveResult:
         return eval_recurrence(self.recurrence, n_normalized)
 
     def raw_term(self, n_raw: int):
-        """Exact T at a raw index of the original (pre-normalization) spec."""
+        """Exact T at a raw index of the original (pre-normalization) spec;
+        an index with no matrix (size <= 0, or colliding jumps) is refused
+        as `jump_residues` refuses it."""
+        jump_residues(self.spec, n_raw)
         return self.term(n_raw + self.normalized.trace.index_shift)
 
 

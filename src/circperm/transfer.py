@@ -15,24 +15,22 @@ lexicographic order of the worked example.
 
 The full transfer matrix A is diag(A-bar, ..., A-bar) with one copy per left
 mask, because extension never touches the left window, so only A-bar is
-stored.  T0 is a census of the legal covers of L_{n0} per class, and
-A-bar is checked against a second census at n0+1: T0's nonzero entries,
-pushed through the sparse columns of A-bar, must give that census, compared
-on the union of the two supports.  The census never lists covers: it is a
-transfer of its own inside the lattice, a dynamic programme over the tails
-whose state is the covered heads a later tail can still reach plus the two
-masks, so its cost follows its states, not its covers.  beta is a smaller
-programme of the same kind over the tail slots, matching the right window's
-zero slots onto the left window's by Hook edges, so it visits only its
-nonzero entries.  Nothing here calls the oracles that `verify` checks the
-terms against.  A-bar itself is block diagonal in the zero-count groups
-B_i, which is both the degree-bound argument and the work-saver: each left
-mask's slice of T0 only ever meets its own B_i.  `sequence` makes
-derive's terms from that: it steps each group's slices deg chi_i times,
-chi_i = char(B_i) as the annihilator stage checked it, and runs the
-group's share of the terms forward by chi_i.  `iterate` (sparse pull rows,
-a start vector and output vectors in, one term list per output out) is the
-stepping loop of the pairing transfers of `extensions`.
+stored.  Everything the system is built from counts one kind of object,
+a weighted matching of tails into heads per class, and `_matchings` is
+the one dynamic programme that counts it, over four edge sets: the
+lattice edges of L_{n0} (T0) and of L_{n0+1} (the census that A-bar is
+checked against), the Hook edges (beta) and the New edges (A-bar).  The
+check pushes T0's nonzero entries through the sparse columns of A-bar and
+compares the result with the census on the union of the two supports.
+Nothing here calls the oracles that `verify` checks the terms against.
+A-bar itself is block diagonal in the zero-count groups B_i, which is
+both the degree-bound argument and the work-saver: each left mask's slice
+of T0 only ever meets its own B_i.  `sequence` makes derive's terms from
+that: it steps each group's slices deg chi_i times, chi_i = char(B_i) as
+the annihilator stage checked it, and runs the group's share of the terms
+forward by chi_i.  `iterate` (sparse pull rows, a start vector and output
+vectors in, one term list per output out) is the stepping loop of the
+pairing transfers of `extensions`.
 
 Rational weights never reach an inner loop: `build_transfer_system`
 scales them once, by the lcm L of their denominators, and builds the whole
@@ -46,14 +44,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress, count, product
+from itertools import compress, count
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import Massey
 from .errors import BlockStructureError, InconsistencyError
-from .lattice import (Decomposition, SymEdge, Vertex, lattice_edges,
-                      lattice_vertices, row_last)
+from .lattice import (Decomposition, Vertex, lattice_edges, lattice_vertices,
+                      row_last)
 from .oracle import ryser_permanent  # unused: bench/tracing.py wraps this name
 
 
@@ -90,48 +88,6 @@ def window_vertices(dec: Decomposition, n: int) -> tuple[list[Vertex], list[Vert
     return slots, [(u, row_last(dec.spec, n, u) - j) for u, j in slots]
 
 
-def extend_right(dec: Decomposition, right: int,
-                 s_new: Sequence[SymEdge]) -> Optional[int]:
-    """Right mask after growing n by one and adding the New-edge subset
-    s_new (one edge into each new vertex); None when illegal.
-
-    The window shifts: slot (u, bar_s-1) retires and must reach out-degree 1,
-    every other slot (u, j) of row u becomes (u, j+1), one bit up within
-    the row, and the new vertex of row u enters at slot (u, 0) with
-    whatever out-degree the NV->NV edges of s_new gave it.
-    """
-    p, bs = dec.spec.size_coeff, dec.bar_s
-    nv_out = [0] * p
-    for e in s_new:
-        t = e.tail
-        if t.anchor == "R":
-            bit = 1 << slot(dec, t)
-            if right & bit:
-                return None
-            right |= bit
-        else:  # "N"
-            nv_out[t.row] += 1
-    if bs == 0:
-        return 0 if all(d == 1 for d in nv_out) else None
-    if max(nv_out) > 1:
-        return None
-    retiring = sum(1 << (u * bs + bs - 1) for u in range(p))
-    if right & retiring != retiring:
-        return None
-    return (right & ~retiring) << 1 | sum(d << u * bs for u, d in enumerate(nv_out))
-
-
-def new_edge_choices(dec: Decomposition) -> list[tuple]:
-    """All candidate New-edge subsets: exactly one edge into each new vertex
-    (the |S'| lemmas), as tuples in new-vertex row order."""
-    by_head: list[list] = [[] for _ in range(dec.spec.size_coeff)]
-    for e in sorted(dec.new):
-        by_head[e.head.row].append(e)
-    if any(not c for c in by_head):
-        raise InconsistencyError("some new vertex has no incoming New edge")
-    return [tuple(combo) for combo in product(*by_head)]
-
-
 @dataclass
 class TransferSystem:
     dec: Decomposition
@@ -155,138 +111,46 @@ class TransferSystem:
         return 1 << self.w
 
 
-def verify_block_structure(rights: list[int], a_bar: list[list]) -> None:
-    """Assert that A-bar, indexed by the positions of `rights`, respects the
-    zero-count groups, the contiguous spans of popcount 0, 1, ..., w: every
-    nonzero entry joins two positions of one span; raises
-    BlockStructureError otherwise.  Zero-valued entries (a zero weight, or
-    weights that cancel) are absent entries."""
-    group = sorted(m.bit_count() for m in rights)
-    for i, row in enumerate(a_bar):
-        for j, v in enumerate(row):
-            if v != 0 and group[i] != group[j]:
-                raise BlockStructureError(
-                    f"A-bar entry ({i},{j}) crosses zero-count groups")
+def _matchings(width: int, out: list[list], rbits: list[int],
+               lbits: list[int]) -> dict[tuple[int, int], object]:
+    """Weighted count of the matchings of tails into heads, per (left mask,
+    right mask): tail t = 0, 1, ... in turn takes at most one of its edges
+    out[t] = [(head, weight)] into a head that no earlier tail took.
 
-
-def build_alpha(dec: Decomposition) -> tuple[list[list], list[list[list]]]:
-    """A-bar (dense, right-mask positions) plus its zero-count blocks B_i,
-    with the zero-count grouping verified under the canonical order."""
-    w = dec.slot_width
-    rights = right_order(w)
-    pos = _positions(rights)
-    a_bar = [[0] * len(rights) for _ in rights]
-    choices = new_edge_choices(dec)
-    weights = [math.prod(dec.spec.weight(e.jump_index) for e in c)
-               for c in choices]
-    for c, right in enumerate(rights):
-        for combo, wgt in zip(choices, weights):
-            new_right = extend_right(dec, right, combo)
-            if new_right is not None:
-                a_bar[pos[new_right]][c] += wgt
-    verify_block_structure(rights, a_bar)
-    blocks = []
-    for pc in range(w + 1):
-        lo, size = _group_span(w, pc)
-        blocks.append([row[lo:lo + size] for row in a_bar[lo:lo + size]])
-    return a_bar, blocks
-
-
-def build_beta(dec: Decomposition) -> list:
-    """beta[X] = (weighted) number of Hook subsets completing X, by a
-    dynamic programme over the tail slots b = 0, ..., w-1.
-
-    A completion matches the zero slots of X's right window, one Hook edge
-    each, onto the zero slots of its left window, so beta[X] is the sum
-    over those matchings of the products of their summed Hook weights.  A
-    state is (the right mask so far, the heads used), mapped to the weighted
-    count of the partial matchings that reach it; tail b either stays
-    unmatched, which sets its right bit, or takes hook[(b, a)] into an
-    unused head a.  The left mask of a final state is the complement of its
-    heads.  Only the nonzero entries are visited; the rest of the dense list
-    stays 0.
+    A tail that takes an edge sets its right bit rbits[t]; one whose rbits
+    entry is 0 must take one.  A taken head h sets its left bit lbits[h]
+    (below 1 << width); one whose lbits entry is 0 must be taken.  A state
+    is (the taken heads a later tail can still reach, the left mask, the
+    right mask), mapped to the weighted count of the partial matchings that
+    reach it, so the cost follows the states, not the matchings.  A head
+    retires after its last tail, setting its left bit or, untaken with none,
+    killing the state.
     """
-    w = dec.slot_width
-    hooks: list[dict[int, object]] = [{} for _ in range(w)]
-    for e in dec.hook:
-        heads, bit = hooks[slot(dec, e.tail)], 1 << slot(dec, e.head)
-        heads[bit] = heads.get(bit, 0) + dec.spec.weight(e.jump_index)
-    states = {0: 1}                  # key: heads used | right mask << w
-    for b, heads in enumerate(hooks):
-        rb = 1 << w + b
-        moves = [(bit, wt) for bit, wt in heads.items() if wt]
-        step: dict[int, object] = {}
-        for key, val in states.items():
-            step[key | rb] = val     # distinct keys: bit w + b is new
-            for bit, wt in moves:
-                if not key & bit:
-                    nk = key | bit
-                    step[nk] = step.get(nk, 0) + val * wt
-        states = step
-    full = (1 << w) - 1
-    right_at = _positions(right_order(w))
-    beta = [0] * (1 << 2 * w)
-    for key, val in states.items():
-        beta[(full & ~key) << w | right_at[key >> w]] = val
-    return beta
-
-
-def _exact(t: int, den: int):
-    """t / den, an int when integral, else a Fraction."""
-    return t // den if t % den == 0 else Fraction(t, den)
-
-
-def census(dec: Decomposition, n: int) -> list:
-    """(Weighted) count of legal covers of L_n per class, in canonical
-    order, by a dynamic programme over the tails.
-
-    Tails are taken in column order, the lattice vertices sorted by (v, u),
-    so every lattice edge stays within a bounded column window, linear rows
-    included.  A state is (the covered heads that a later tail can still
-    reach, the left mask, the right mask), mapped to the weighted count of
-    the partial covers that reach it.  A tail takes one of its out-edges
-    into an uncovered head, or, in the right window only, none, which is
-    its right bit.  A head retires after its last tail: uncovered outside
-    the left window, the state dies; covered inside it, its left bit is set.
-
-    The counts are plain sums of products of the weights, exact for any
-    weights; `build_transfer_system` hands it int weights, so that the
-    sums run on ints.
-    """
-    spec, w = dec.spec, dec.slot_width
-    left, right = window_vertices(dec, n)
-    verts = sorted(lattice_vertices(spec, n), key=lambda v: (v[1], v[0]))
-    nv = len(verts)
-    at = {v: i for i, v in enumerate(verts)}
-    # key bits: covered heads by vertex index, then left, then right slots
-    lbit = {at[v]: 1 << nv + i for i, v in enumerate(left)}
-    rbit = {at[v]: 1 << nv + w + i for i, v in enumerate(right)}
-    counts = [0] * (1 << 2 * w)
-    out: list[list] = [[] for _ in verts]
-    last = [-1] * nv                 # last[h]: the last tail into head h
-    for tail, head, idx in sorted(lattice_edges(spec, n)):
-        t, h = at[tail], at[head]
-        out[t].append((1 << h, spec.weight(idx)))
-        last[h] = max(last[h], t)
-    done = [0] * nv                  # heads retiring after tail t
-    must = [0] * nv                  # ... of which outside the left window
-    lefts: list[list] = [[] for _ in verts]  # ... inside it, with left bits
-    for h in range(nv):
+    nh, nt = len(lbits), len(out)
+    last = [-1] * nh                 # last[h]: the last tail into head h
+    for t, edges in enumerate(out):
+        for h, _ in edges:
+            last[h] = t
+    done = [0] * nt                  # heads retiring after tail t
+    must = [0] * nt                  # ... of which must be taken
+    lefts: list[list] = [[] for _ in out]  # ... the others, with left bits
+    for h in range(nh):
         if last[h] < 0:
-            if h not in lbit:
-                return counts        # a head no edge reaches: no cover
+            if not lbits[h]:
+                return {}
             continue
         done[last[h]] |= 1 << h
-        if h in lbit:
-            lefts[last[h]].append((1 << h, lbit[h]))
+        if lbits[h]:
+            lefts[last[h]].append((1 << h, lbits[h] << nh))
         else:
             must[last[h]] |= 1 << h
 
+    # key bits: taken heads by index, then left bits, then right bits
     states = {0: 1}
-    for t in range(nv):
-        d, m, ls, rb = done[t], must[t], lefts[t], rbit.get(t, 0)
-        moves = [(hb, hb | rb, wt) for hb, wt in out[t]]
-        step: dict[int, int] = {}
+    for t in range(nt):
+        d, m, ls, rb = done[t], must[t], lefts[t], rbits[t] << nh + width
+        moves = [(1 << h, 1 << h | rb, wt) for h, wt in out[t]]
+        step: dict[int, object] = {}
         for key, val in states.items():
             nexts = [(key | add, val * wt) for hb, add, wt in moves
                      if not key & hb]
@@ -301,10 +165,112 @@ def census(dec: Decomposition, n: int) -> list:
                 nk &= ~d
                 step[nk] = step.get(nk, 0) + v
         states = step
+    full = (1 << width) - 1
+    return {(key >> nh & full, key >> nh + width): val
+            for key, val in states.items()}
 
+
+def build_alpha(dec: Decomposition) -> tuple[list[list], list[list[list]]]:
+    """A-bar (dense, right-mask positions) plus its zero-count blocks B_i.
+
+    An extension is a matching of the New edges: the tails are the w right
+    slots, then the p new vertices, which are also the heads and must all
+    be taken.  New vertex u takes at most one edge, its slot (u, 0) bit,
+    or with bar_s = 0 (no slots) exactly one.  Each matching, listed once
+    as the right bits `took` it sets, is applied to every right mask r:
+    slot (u, bar_s-1) retires and must reach out-degree 1, every other slot
+    moves one bit up within its row, and new vertex u enters at (u, 0).
+    The popcount never changes, so A-bar is block diagonal in the
+    zero-count groups; an entry that would cross them raises
+    BlockStructureError.
+    """
+    w, p, bs = dec.slot_width, dec.spec.size_coeff, dec.bar_s
+    out: list[list] = [[] for _ in range(w + p)]
+    for e in dec.new:
+        t = w + e.tail.row if e.tail.anchor == "N" else slot(dec, e.tail)
+        out[t].append((e.head.row, dec.spec.weight(e.jump_index)))
+    if {e.head.row for e in dec.new} != set(range(p)):
+        raise InconsistencyError("some new vertex has no incoming New edge")
+    rbits = [1 << t for t in range(w + p)] if bs else [0] * p
+    full = (1 << w) - 1
+    retiring = sum(1 << u * bs + bs - 1 for u in range(p)) if bs else 0
+    rights = right_order(w)
+    pos = _positions(rights)
+    a_bar = [[0] * len(rights) for _ in rights]
+    for (_, took), wt in _matchings(0, out, rbits, [0] * p).items():
+        took_r = took & full
+        born = sum((took >> w + u & 1) << u * bs for u in range(p))
+        for r in rights:
+            grown = r | took_r
+            if r & took_r or grown & retiring != retiring:
+                continue
+            new = (grown & ~retiring) << 1 | born
+            if new.bit_count() != r.bit_count():
+                raise BlockStructureError(f"A-bar entry ({pos[new]},{pos[r]})"
+                                          " crosses zero-count groups")
+            a_bar[pos[new]][pos[r]] += wt
+    blocks = []
+    for pc in range(w + 1):
+        lo, size = _group_span(w, pc)
+        blocks.append([row[lo:lo + size] for row in a_bar[lo:lo + size]])
+    return a_bar, blocks
+
+
+def build_beta(dec: Decomposition) -> list:
+    """beta[X] = (weighted) number of Hook subsets completing X.
+
+    A completion matches the zero slots of X's right window, one Hook edge
+    each, onto the zero slots of its left window, so beta[X] is the sum
+    over those matchings of the products of their summed Hook weights:
+    `_matchings` of the right slots into the left slots, X's masks the
+    complements of the slots matched.  Only the nonzero entries are
+    visited; the rest of the dense list stays 0.
+    """
+    w = dec.slot_width
+    hooks: list[dict[int, object]] = [{} for _ in range(w)]
+    for e in dec.hook:
+        heads, a = hooks[slot(dec, e.tail)], slot(dec, e.head)
+        heads[a] = heads.get(a, 0) + dec.spec.weight(e.jump_index)
+    out = [[(a, wt) for a, wt in heads.items() if wt] for heads in hooks]
+    bits, full = [1 << i for i in range(w)], (1 << w) - 1
     right_at = _positions(right_order(w))
-    for key, val in states.items():
-        lmask, rmask = key >> nv & (1 << w) - 1, key >> nv + w
+    beta = [0] * (1 << 2 * w)
+    for (left, right), val in _matchings(w, out, bits, bits).items():
+        beta[(full & ~left) << w | right_at[full & ~right]] = val
+    return beta
+
+
+def _exact(t: int, den: int):
+    """t / den, an int when integral, else a Fraction."""
+    return t // den if t % den == 0 else Fraction(t, den)
+
+
+def census(dec: Decomposition, n: int) -> list:
+    """(Weighted) count of legal covers of L_n per class, in canonical
+    order: `_matchings` of the lattice edges, every vertex a tail and a
+    head, free only in the right window (as a tail) and the left (as a head).
+
+    Tails are taken in column order, the lattice vertices sorted by (v, u),
+    so every lattice edge stays within a bounded column window, linear rows
+    included, and with it the heads a later tail can still reach.
+
+    The counts are plain sums of products of the weights, exact for any
+    weights; `build_transfer_system` hands it int weights, so that the
+    sums run on ints.
+    """
+    spec, w = dec.spec, dec.slot_width
+    left, right = window_vertices(dec, n)
+    verts = sorted(lattice_vertices(spec, n), key=lambda v: (v[1], v[0]))
+    at = {v: i for i, v in enumerate(verts)}
+    out: list[list] = [[] for _ in verts]
+    for tail, head, idx in sorted(lattice_edges(spec, n)):
+        out[at[tail]].append((at[head], spec.weight(idx)))
+    lbits, rbits = [0] * len(verts), [0] * len(verts)
+    for i, (lv, rv) in enumerate(zip(left, right)):
+        lbits[at[lv]], rbits[at[rv]] = 1 << i, 1 << i
+    right_at = _positions(right_order(w))
+    counts = [0] * (1 << 2 * w)
+    for (lmask, rmask), val in _matchings(w, out, rbits, lbits).items():
         counts[(lmask << w) + right_at[rmask]] = val
     return counts
 

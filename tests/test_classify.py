@@ -2,12 +2,15 @@
 and exhaustive representative-independence against direct recomputation on
 concrete covers.
 
-A class is a (left mask, right mask) pair, slot i at bit i.  `extend`,
-`completes`, `enumerate_classifications`, `classify` and `cover_census`
-below are references that only the tests use; `test_transfer` and
-`test_census_property` import them from here."""
+A class is a (left mask, right mask) pair, slot i at bit i.  `extend_right`,
+`new_edge_choices`, `extend`, `completes`, `enumerate_classifications`,
+`classify` and `cover_census` below are references that only the tests
+use; `test_transfer`, `test_census_property` and `test_alpha_property`
+import them from here.  The first two apply one New-edge subset at a time,
+independently of the matching programme that `transfer.build_alpha` and
+`transfer.census` share."""
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import pytest
 
@@ -15,8 +18,7 @@ from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError
 from circperm.lattice import (Decomposition, Edge, SymEdge, decompose,
                               lattice_edges, lattice_vertices)
-from circperm.transfer import (_group_span, extend_right, new_edge_choices,
-                               right_order, slot, window_vertices)
+from circperm.transfer import _group_span, right_order, slot, window_vertices
 from covers import enumerate_legal_covers
 from test_lattice import concrete_edge
 
@@ -26,6 +28,48 @@ Class = tuple[int, int]
 def position(w: int, cls: Class) -> int:
     """Canonical position of a class: left mask * 2^w + right mask's index."""
     return (cls[0] << w) + right_order(w).index(cls[1])
+
+
+def extend_right(dec: Decomposition, right: int,
+                 s_new: Sequence[SymEdge]) -> Optional[int]:
+    """Right mask after growing n by one and adding the New-edge subset
+    s_new (one edge into each new vertex); None when illegal.
+
+    The window shifts: slot (u, bar_s-1) retires and must reach out-degree 1,
+    every other slot (u, j) of row u becomes (u, j+1), one bit up within
+    the row, and the new vertex of row u enters at slot (u, 0) with
+    whatever out-degree the NV->NV edges of s_new gave it.
+    """
+    p, bs = dec.spec.size_coeff, dec.bar_s
+    nv_out = [0] * p
+    for e in s_new:
+        t = e.tail
+        if t.anchor == "R":
+            bit = 1 << slot(dec, t)
+            if right & bit:
+                return None
+            right |= bit
+        else:  # "N"
+            nv_out[t.row] += 1
+    if bs == 0:
+        return 0 if all(d == 1 for d in nv_out) else None
+    if max(nv_out) > 1:
+        return None
+    retiring = sum(1 << (u * bs + bs - 1) for u in range(p))
+    if right & retiring != retiring:
+        return None
+    return (right & ~retiring) << 1 | sum(d << u * bs for u, d in enumerate(nv_out))
+
+
+def new_edge_choices(dec: Decomposition) -> list[tuple]:
+    """All candidate New-edge subsets: exactly one edge into each new vertex
+    (the |S'| lemmas), as tuples in new-vertex row order."""
+    by_head: list[list] = [[] for _ in range(dec.spec.size_coeff)]
+    for e in sorted(dec.new):
+        by_head[e.head.row].append(e)
+    if any(not c for c in by_head):
+        raise InconsistencyError("some new vertex has no incoming New edge")
+    return [tuple(combo) for combo in product(*by_head)]
 
 
 def extend(dec: Decomposition, x: Class,

@@ -36,6 +36,13 @@ def test_derive_table(capsys):
     ("const_weighted", ["--jumps", "0,1,2", "--weights", "1/2,1,3"]),
     ("linear_weighted", ["--jumps", "0,1n+0", "--size", "2n+1",
                          "--weights", "1/2,3"]),
+    # A-bar's shapes: w = 0, constant and linear (p = 2); a New edge from
+    # one new vertex into another (p = 3); new vertices that reach each
+    # other and themselves beside the window's edges (w = 4)
+    ("const_w0", ["--jumps", "0"]),
+    ("linear_w0", ["--jumps", "0,1n+0", "--size", "2n"]),
+    ("linear_p3", ["--jumps", "1,1n+0,2n+1", "--size", "3n+1"]),
+    ("linear_twin", ["--jumps", "0,1n+0,1n+2", "--size", "2n"]),
 ])
 def test_derive_json_report_is_pinned(capsys, name, argv):
     """JSON reports stay byte-identical from change to change, timings

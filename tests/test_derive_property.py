@@ -9,7 +9,7 @@ import pytest
 
 from circperm.circulant import (adjacency_matrix, jump_residues, normalize,
                                 parse_spec)
-from circperm.errors import CollisionError
+from circperm.errors import CollisionError, InconsistencyError
 from circperm.lattice import decompose
 from circperm.oracle import ryser_permanent
 from circperm.pipeline import derive
@@ -92,11 +92,18 @@ def linear_specs(draw, weighted=False):
 def _check_linear(spec):
     hypothesis.assume(decompose(normalize(spec)).slot_width <= 4)
     res = derive(spec)
-    # from n0 on, a size-0 index included: the empty matrix has permanent 1
-    n = max(res.n0 - res.normalized.trace.index_shift, 1 if spec.size(0) <= 0 else 0)
+    # from n0 on, a size-0 index included: the recurrence gives the empty
+    # matrix's permanent 1 there, but raw_term refuses it, as eval does
+    shift = res.normalized.trace.index_shift
+    n = max(res.n0 - shift, 1 if spec.size(0) <= 0 else 0)
     for n in count(n):
         if spec.size(n) > 12:
             break
+        if spec.size(n) == 0:
+            assert res.term(n + shift) == 1, n
+            with pytest.raises(InconsistencyError, match="size 0"):
+                res.raw_term(n)
+            continue
         try:
             matrix = adjacency_matrix(spec, n)
         except CollisionError:
@@ -108,6 +115,7 @@ def _check_linear(spec):
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
 @hypothesis.given(linear_specs())
 @hypothesis.example(("1,1n+1,2n+0", "3n", None))
+@hypothesis.example(("0,1n-2", "2n-4", None))       # size 0 at n = 2, the base
 def test_linear_derive_matches_ryser(case):
     """Two or three rows move each slot of every row one offset in as n
     grows; the terms check that no row's slots spill into the next."""

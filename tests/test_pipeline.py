@@ -2,7 +2,7 @@
 import pytest
 
 from circperm.circulant import adjacency_matrix, parse_spec
-from circperm.errors import InconsistencyError
+from circperm.errors import CollisionError, InconsistencyError
 from circperm.oracle import ryser_permanent
 from circperm.pipeline import derive, verify
 from circperm.report import decimal_str
@@ -45,6 +45,25 @@ def test_raw_term_handles_index_shift():
     assert res.normalized.trace.index_shift == 1
     for n in range(1, 6):
         assert res.raw_term(n) == ryser_permanent(adjacency_matrix(spec, n))
+
+
+@pytest.mark.parametrize("jumps,size,n,error,message,good", [
+    # the recurrence run backward to size 0 gives 3, but there is no matrix
+    ("0,1n+0,2n-1", "3n", 0, InconsistencyError, "size 0 is not positive", 2),
+    ("0,1n+0,1n+2", "2n", 0, InconsistencyError, "size 0 is not positive", 3),
+    ("3,1n-1,1n+0", "2n", 0, InconsistencyError, "size 0 is not positive", 2),
+    ("0,1,1n+0", "2n", 0, InconsistencyError, "size 0 is not positive", 2),
+    # jumps 3, n-1, n collide mod 2n at n = 3 and 4, past the base n = 2
+    ("3,1n-1,1n+0", "2n", 3, CollisionError, "residue 3 duplicated", 5),
+    ("0,1n+0,1n+2", "2n", 2, CollisionError, "residue 0 duplicated", 3),
+])
+def test_raw_term_refuses_an_index_with_no_matrix(derived, jumps, size, n,
+                                                  error, message, good):
+    res = derived(jumps, size)
+    with pytest.raises(error, match=message):
+        res.raw_term(n)
+    spec = parse_spec(jumps, size)
+    assert res.raw_term(good) == ryser_permanent(adjacency_matrix(spec, good))
 
 
 def test_verify_ledger_contents(derived):

@@ -2,17 +2,19 @@
 component, the zero-count group check, and the census check on A-bar with
 its mutation tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from circperm.algebra import annihilator_from_blocks
 from circperm.circulant import adjacency_matrix, normalize, parse_spec
-from circperm.errors import BlockStructureError
+from circperm.errors import BlockStructureError, InconsistencyError
 from circperm.lattice import decompose, lattice_edges, lattice_vertices
 from circperm.oracle import enumerate_stats, ryser_permanent
 from circperm.transfer import (build_alpha, build_initial,
                                build_transfer_system, census, right_order,
                                sequence, verify_against_census,
-                               verify_block_structure, window_vertices)
+                               window_vertices)
 from covers import enumerate_legal_covers
 from test_classify import classify, cover_census, position
 
@@ -272,21 +274,31 @@ def test_weighted_blocks_are_scaled_to_ints():
     assert last_block("1/2,1,1") == ([[1]], 2)
 
 
-def test_scrambled_ordering_triggers_block_error():
+def test_a_popcount_changing_extension_is_refused(monkeypatch):
+    """An extension that adds no edge out of the window leaves the retiring
+    slot's out-degree bit behind, so right mask 0b10 would step to 0b00,
+    across the zero-count groups: build_alpha refuses it where it makes
+    the entry."""
     dec = _dec("0,1,2")
-    rights = right_order(2)
-    # swap two right masks across zero-count groups: the canonical order's
-    # grouping is violated and the A-bar group check must notice
-    bad = list(rights)
-    bad[0], bad[1] = bad[1], bad[0]
-    a_bar, _ = build_alpha(dec)
-    verify_block_structure(rights, a_bar)
-    scrambled_a_bar = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            scrambled_a_bar[bad.index(rights[i])][bad.index(rights[j])] = a_bar[i][j]
-    with pytest.raises(BlockStructureError):
-        verify_block_structure(bad, scrambled_a_bar)
+    assert build_alpha(dec)[0] == GOLDEN_A_BAR
+    # one matching that took nothing: no right bit, no slot, no new vertex
+    monkeypatch.setattr("circperm.transfer._matchings",
+                        lambda *args: {(0, 0): 1})
+    with pytest.raises(BlockStructureError,
+                       match=r"A-bar entry \(0,1\) crosses zero-count groups"):
+        build_alpha(dec)
+
+
+def test_a_new_vertex_no_new_edge_reaches_is_refused():
+    """A decomposition whose New edges miss a new vertex has no extension
+    at all; build_alpha refuses it rather than return an empty A-bar."""
+    dec = _dec("1,1n+1,2n+0", "3n")
+    missing = replace(dec, new=frozenset(e for e in dec.new
+                                         if e.head.row != 1))
+    assert missing.new and missing.new != dec.new
+    with pytest.raises(InconsistencyError,
+                       match="some new vertex has no incoming New edge"):
+        build_alpha(missing)
 
 
 def test_sequence_stops_at_the_bound_plus_the_order(sys012):
