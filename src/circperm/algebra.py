@@ -7,11 +7,12 @@ coefficient list, found mod 61-bit primes by Hessenberg reduction and
 combined by CRT under a Hadamard bound on the coefficients.  Annihilation
 is checked and the distinct chi_i are multiplied exactly on ints; the
 rational annihilator of a rational-weight spec is made once from that
-product, for the report (`pipeline.derive`).  Recurrences are fitted
-mod the same primes, lifted to rationals and checked exactly on ints, and
-evaluated on scaled ints.  Growth isolates only the top real root of the
-characteristic polynomial, on ints, and bisects it until its rounding to
-DECIMALS places is certain, so no float enters any reported value.
+product, for the report (`pipeline.derive`).  Recurrences are fitted to
+integer terms mod the same primes, lifted to integer coefficients by CRT
+and checked exactly on ints, and evaluated on scaled ints.  Growth
+isolates only the top real root of the characteristic polynomial, on
+ints, and bisects it until its rounding to DECIMALS places is certain, so
+no float enters any reported value.
 """
 from __future__ import annotations
 
@@ -252,37 +253,24 @@ class Recurrence:
 
 
 class Massey:
-    """Berlekamp-Massey mod a prime (Massey 1969) over a list of terms that
-    may still grow: `read()` takes in every term appended since its last
-    call, in O(order) operations each.  `order` is then the length of the
-    shortest linear recurrence mod p that generates every term read, and
-    `conn` its connection polynomial (conn[0] = 1, length order + 1).  The
-    run uses `_prime(index)`, and moves to the next prime, starting over
-    from the first term, whenever p divides a term's denominator.
+    """Berlekamp-Massey mod a prime (Massey 1969) over a list of integer
+    terms that may still grow: `read()` takes in every term appended since
+    its last call, in O(order) operations each.  `order` is then the length
+    of the shortest linear recurrence mod p that generates every term read,
+    and `conn` its connection polynomial (conn[0] = 1, length order + 1).
+    The run uses `_prime(index)`.
     """
 
-    def __init__(self, terms: Sequence, index: int = 0):
-        self.terms = terms
-        self._start(index)
-
-    def _start(self, index: int) -> None:
-        self.index, self.p = index, _prime(index)
+    def __init__(self, terms: Sequence[int], index: int = 0):
+        self.terms, self.p = terms, _prime(index)
         self.residues: list[int] = []
         self.conn, self.prev = [1], [1]   # prev: conn before the last length change
         self.order, self.gap, self.prev_disc = 0, 1, 1
 
     def read(self) -> "Massey":
-        res, terms = self.residues, self.terms
+        res, terms, p = self.residues, self.terms, self.p
         while len(res) < len(terms):
-            p, t = self.p, terms[len(res)]
-            if type(t) is int:
-                u = t % p
-            elif t.denominator % p:
-                u = t.numerator * pow(t.denominator, -1, p) % p
-            else:
-                self._start(self.index + 1)
-                res = self.residues
-                continue
+            u = terms[len(res)] % p
             n, order, conn = len(res), self.order, self.conn
             disc = (u + sum(map(mul, conn[1:], reversed(res[n - order:n])))) % p
             res.append(u)
@@ -302,63 +290,38 @@ class Massey:
         return self
 
 
-def _rational(u: int, m: int) -> Optional[Fraction]:
-    """The a/b = u mod m with |a| and b at most sqrt(m/2), which is unique
-    when it exists, or None (Wang 1981): the extended Euclidean algorithm on
-    m and u, stopped at the first remainder at most sqrt(m/2).  gcd(a, b) =
-    1 forces gcd(b, m) = 1."""
-    bound = math.isqrt(m // 2)
-    r0, r1, s0, s1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > bound or math.gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
+def _generates(terms: Sequence[int], coeffs: list[int]) -> bool:
+    """Whether T(n) = sum_j coeffs[j-1] T(n-j) at every n of the integer
+    terms past the first len(coeffs)."""
+    r, window = len(coeffs), coeffs[::-1]
+    return all(terms[n] == sum(map(mul, window, terms[n - r:n]))
+               for n in range(r, len(terms)))
 
 
-def _cleared(terms: Sequence) -> list[int]:
-    """The terms times the lcm of their denominators: the same recurrences."""
-    scale = math.lcm(*(t.denominator for t in terms))
-    return [t.numerator * (scale // t.denominator) for t in terms]
-
-
-def _generates(terms: Sequence, coeffs: list[Fraction]) -> bool:
-    """Whether T(n) = sum_j coeffs[j-1] T(n-j) at every n of the terms past
-    the first len(coeffs), checked on ints: the terms are cleared of their
-    denominators and the coefficients of theirs."""
-    r, u = len(coeffs), _cleared(terms)
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    window = [c.numerator * (scale // c.denominator) for c in reversed(coeffs)]
-    return all(scale * u[n] == sum(map(mul, window, u[n - r:n]))
-               for n in range(r, len(u)))
-
-
-def _hankel_bound(terms: Sequence, size: int) -> int:
+def _hankel_bound(terms: Sequence[int], size: int) -> int:
     """A bound on |det| of every k x k matrix, k <= size, whose row i is
-    drawn from the cleared terms u_i..u_(i+size): Hadamard's product of
-    row norms, each at least 1.  That covers the Hankel matrices
-    (u_(i+j)) of order k and the ones Cramer's rule makes from them by
-    putting (u_k..u_(2k-1)) in a column."""
-    u = _cleared(terms[:2 * size])
+    drawn from the terms u_i..u_(i+size): Hadamard's product of row norms,
+    each at least 1.  That covers the Hankel matrices (u_(i+j)) of order k
+    and the ones Cramer's rule makes from them by putting (u_k..u_(2k-1))
+    in a column."""
     bound = 1
     for i in range(size):
-        bound *= max(1, _norm(u[i:i + size + 1]))
+        bound *= max(1, _norm(terms[i:i + size + 1]))
     return bound
 
 
-def min_recurrence(terms: Sequence, base: int, bound: int) -> Recurrence:
-    """The minimal exact linear recurrence of a sequence whose order is
-    known to be at most `bound`, from its first bound + r terms or more,
-    r being that order.
+def min_recurrence(terms: Sequence[int], base: int, bound: int) -> Recurrence:
+    """The minimal exact linear recurrence of an integer sequence whose
+    order is known to be at most `bound`, from its first bound + r terms or
+    more, r being that order.
 
     Berlekamp-Massey (`Massey`) runs mod 61-bit primes on all the given
-    terms, skipping a prime that divides a term's denominator.  Each run
-    gives an order r_p and coefficients mod p.  The runs of the largest
-    order seen are combined by CRT (a larger order starts afresh, a smaller
-    one is skipped), and after each one the coefficients are recovered as
-    rationals (`_rational`) and checked exactly, on ints, against the first
-    bound + r terms.  A check that passes certifies the recurrence q:
+    terms.  Each run gives an order r_p and coefficients mod p.  The runs
+    of the largest order seen are combined by CRT (a larger order starts
+    afresh, a smaller one is skipped), and after each one the coefficients
+    are read in the symmetric range of the CRT modulus and checked exactly,
+    on ints, against the first bound + r terms.  A check that passes
+    certifies the recurrence q:
 
     * Validity.  The sequence obeys some recurrence A of order D <= bound
       (the annihilator degree, or the transfer dimension by Cayley-
@@ -376,64 +339,60 @@ def min_recurrence(terms: Sequence, base: int, bound: int) -> Recurrence:
       one is nonsingular mod p, hence over Q, so the order over Q is at
       least r_p.  q is minimal, and so unique: the reports cannot change.
 
-    Both hold for rational terms as well as integer ones.
-
-    When to stop adding primes.  Say the bound holds, at least bound + r
-    terms are given, and every term of the sequence is p-integral for each
-    prime used (so for integer sequences always).  Then q is p-integral
-    too: the generating function of the terms is P/C in lowest terms, with
-    C(x) = 1 - sum_j c_j x^j, and as a power series with p-integral
-    coefficients it converges on the p-adic open unit disc, where a root of
-    C would be one of P as well.  So C's inverse roots have p-adic size at
+    When to stop adding primes.  Say the bound holds and at least bound + r
+    terms are given.  Then q has integer coefficients: the generating
+    function of the terms is P/C in lowest terms, with C(x) = 1 - sum_j
+    c_j x^j, and as a power series with integer coefficients it converges
+    on the p-adic open unit disc for every prime p, where a root of C
+    would be one of P as well.  So C's inverse roots have p-adic size at
     most 1, and its coefficients, their elementary symmetric functions, are
-    p-integral (Fatou's lemma, p-adically).  Hence no run has an order
-    above r, and a run mod a prime that does not divide the r x r Hankel
-    determinant has order r and q's residues, as BM's recurrence of that
-    length is unique on N >= 2r terms.  The primes of a smaller order all
-    divide that determinant.  Let H be the `_hankel_bound` of order
+    integers (Fatou's lemma).  Hence no run has an order above r, and a run
+    mod a prime that does not divide the r x r Hankel determinant has order
+    r and q's residues, as BM's recurrence of that length is unique on
+    N >= 2r terms.  The primes of a smaller order all divide that
+    determinant, a nonzero integer.  Let H be the `_hankel_bound` of order
     K = min(bound, N - bound) on the N given terms; as r <= K, it bounds
-    that determinant, and by Cramer's rule the numerators and denominators
-    of q's coefficients.  Once the CRT modulus of the runs of the largest
-    order exceeds 2 H^2, their primes cannot all divide the determinant,
-    so that order is r and the residues are q's, which `_rational`
-    recovers, and the check passes.  If it has not passed by then, the
-    premises fail: the bound is false or too few terms were given, and
-    NoRecurrenceError is raised.  It is raised at once when a run's order
-    exceeds the bound, and InconsistencyError when fewer than bound + r_p
-    terms are given, which under the premises is fewer than bound + r.
+    that determinant, and by Cramer's rule every |c_j|.  Once the CRT
+    modulus of the runs of the largest order exceeds 2 H, their primes
+    cannot all divide the determinant, so that order is r and the residues
+    are q's, which the symmetric range reads back, and the check passes.
+    If it has not passed by then, the premises fail: the bound is false or
+    too few terms were given, and NoRecurrenceError is raised.  It is
+    raised at once when a run's order exceeds the bound, and
+    InconsistencyError when fewer than bound + r_p terms are given, which
+    under the premises is fewer than bound + r.
 
     An all-zero sequence gets order 1 with coefficient 0.
     """
-    count, group, modulus, index, hadamard = len(terms), -1, 1, 0, None
-    while True:
+    given, group, modulus, hadamard = len(terms), -1, 1, None
+    for index in count():
         run = Massey(terms, index).read()
-        index, order, p = run.index + 1, run.order, run.p
+        order, p = run.order, run.p
         if order > bound:
             raise NoRecurrenceError(
-                f"no recurrence of order <= {bound} fits {count} terms")
-        if count < bound + order:
+                f"no recurrence of order <= {bound} fits {given} terms")
+        if given < bound + order:
             raise InconsistencyError(
-                f"need at least {bound + order} terms, got {count}")
+                f"need at least {bound + order} terms, got {given}")
         if order < group:
             continue
         if order > group:
             group, modulus, lifted = order, 1, [0] * order
         lifted = _lift(lifted, modulus, [-c % p for c in run.conn[1:]], p)
         modulus *= p
-        coeffs = [_rational(c, modulus) for c in lifted]
-        if None not in coeffs and _generates(terms[:bound + order], coeffs):
+        coeffs = [c - modulus if 2 * c > modulus else c for c in lifted]
+        if _generates(terms[:bound + order], coeffs):
             break
         if hadamard is None:
-            hadamard = _hankel_bound(terms, min(bound, count - bound))
-        if modulus > 2 * hadamard ** 2:
+            hadamard = _hankel_bound(terms, min(bound, given - bound))
+        if modulus > 2 * hadamard:
             raise NoRecurrenceError(
                 f"no recurrence of order <= {bound} is certified by "
-                f"{count} terms")
-    initials = tuple(t if isinstance(t, int) else Fraction(t)
-                     for t in terms[:max(order, 1)])
+                f"{given} terms")
+    initials = tuple(terms[:max(order, 1)])
     if order == 0:
         return Recurrence(1, (Fraction(0),), base, initials)
-    return Recurrence(order, tuple(coeffs), base, initials)
+    return Recurrence(order, tuple(map(Fraction, coeffs)), base, initials)
 
 
 def _mulmod(a: list[int], b: list[int], chi: list[int]) -> list[int]:

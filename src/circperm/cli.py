@@ -104,10 +104,10 @@ def cmd_growth(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    spec = _parse(args)
-    res = moments_derive(spec, args.order, _budget(args))
+    spec, ratio_n = _parse(args), args.ratio_at
+    res = moments_derive(spec, args.order, _budget(args),
+                         ratio_n if args.order >= 1 else None)
     rec = res.recurrences[args.order]
-    ratio_n = args.ratio_at
     ratio = moments_ratio(spec, ratio_n, result=res) if args.order >= 1 else None
     if args.out == "json":
         rep = {

@@ -31,6 +31,7 @@ from .budget import Budget
 from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
 from .lattice import check_width, decompose
+from .pipeline import check_eval
 from .transfer import iterate
 
 Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
@@ -280,12 +281,16 @@ class MomentsResult:
 
 
 def moments_derive(spec: CirculantSpec, i_max: int,
-                   budget: Budget = Budget()) -> MomentsResult:
+                   budget: Budget = Budget(),
+                   ratio_at: Optional[int] = None) -> MomentsResult:
     """Recurrences for the cycle-count moments TC_0..TC_i of a raw
-    constant-jump spec, via the pairing-augmented transfer."""
+    constant-jump spec, via the pairing-augmented transfer, refusing first
+    a `ratio_at` whose TC_0 exceeds the value budget (`check_eval`)."""
     if i_max < 0:
         raise InconsistencyError(f"moment order must be >= 0, got {i_max}")
     model = SignedModel(spec, "cycle moments", budget)
+    if ratio_at is not None:
+        check_eval(spec, ratio_at, budget, "TC_0")
     k = i_max + 1
     cap = budget.pairing_state_cap // k
     what = f"augmented dimension states*{k} exceeds cap {budget.pairing_state_cap}"
@@ -316,7 +321,7 @@ def moments_ratio(spec: CirculantSpec, n: int,
     """Exact expected cycle count TC_1(n)/TC_0(n) of a uniformly random
     restricted permutation."""
     jump_residues(spec, n)     # refuses sizes <= 0 and colliding jumps
-    result = result or moments_derive(spec, 1, budget)
+    result = result or moments_derive(spec, 1, budget, n)
     tc1 = eval_recurrence(result.recurrences[1], n)
     tc0 = eval_recurrence(result.recurrences[0], n)
     if tc0 == 0:

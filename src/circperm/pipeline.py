@@ -29,7 +29,7 @@ class DeriveResult:
     system: TransferSystem       # on the integer weights L w_i
     # coeffs: of the blocks of the weights w_i; chis: of system's blocks
     annihilator: Annihilator
-    recurrence: Recurrence
+    recurrence: Recurrence       # of T, with L divided out
     growth: GrowthEstimate
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -74,10 +74,10 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
         ann = annihilator_from_blocks(system.blocks)
     except AnnihilationError as exc:
         raise AnnihilationError(f"{exc} of {spec.describe()}") from exc
-    if system.scale != 1:
-        # a step of the integer system adds p edges: its blocks are L^p B_i
-        ann = replace(ann, coeffs=_unscaled(
-            ann.coeffs, system.scale ** norm.size_coeff))
+    # a step of the integer system adds p edges: its blocks are L^p B_i
+    scale, step = system.scale, system.scale ** norm.size_coeff
+    if scale != 1:
+        ann = replace(ann, coeffs=_unscaled(ann.coeffs[::-1], step)[::-1])
     timings["annihilator"] = time.perf_counter() - t
 
     cap = max(ann.degree, 1)
@@ -87,6 +87,11 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
 
     t = time.perf_counter()
     rec = min_recurrence(terms, system.n0, cap)
+    if scale != 1:
+        # T_L(n) = L^size(n) T(n): its recurrence's roots are T's times L^p
+        rec = replace(rec, coeffs=_unscaled((1,) + rec.coeffs, step)[1:],
+                      initials=tuple(_exact(v, scale ** norm.size(n)) for n, v
+                                     in enumerate(rec.initials, rec.base)))
     timings["recurrence"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -96,7 +101,8 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
     return DeriveResult(spec, norm, system, ann, rec, gro, timings)
 
 
-def check_eval(spec: CirculantSpec, n: int, budget: Budget = Budget()) -> None:
+def check_eval(spec: CirculantSpec, n: int, budget: Budget = Budget(),
+               value: str = "T") -> None:
     """Refuse with SizeCapError, before any derive, an `eval` of T(n) that
     the budget does not admit: first a spec wider than the transfer cap, as
     `derive` refuses it, then an n whose T(n) may be longer than
@@ -105,8 +111,9 @@ def check_eval(spec: CirculantSpec, n: int, budget: Budget = Budget()) -> None:
     Every row of the size(n) x size(n) matrix holds the weights w_i, so with
     L the lcm of their denominators |perm(L M)| <= S^size(n), S = sum |L w_i|,
     and T(n) = perm(L M) / L^size(n) has at most size(n) log2(S L) bits in
-    its numerator and denominator together.  `n` must have a matrix
-    (`jump_residues` checks that).
+    its numerator and denominator together, as the cover count TC_0(n) <=
+    k^size(n) of k unweighted jumps does (`value` names the refused value).
+    `n` must have a matrix (`jump_residues` checks that).
     """
     check_width(normalize(spec), budget.transfer_max_width, spec.describe())
     weights = spec.weights or (1,) * len(spec.jumps)
@@ -119,15 +126,20 @@ def check_eval(spec: CirculantSpec, n: int, budget: Budget = Budget()) -> None:
     # log2(total) >= 1, so a size over the cap is refused without a float
     if size > cap or size * math.log2(total) > cap:
         raise SizeCapError(
-            f"T({n}) of {spec.describe()} may have more than {cap} bits: "
-            f"size {size} times {math.log2(total):.3f} bits a row")
+            f"{value}({n}) of {spec.describe()} may have more than {cap} "
+            f"bits: size {size} times {math.log2(total):.3f} bits a row")
 
 
-def _unscaled(coeffs: tuple[int, ...], step: int) -> tuple[Fraction, ...]:
-    """The coefficients of p_B from those of p_{step B}, which is
-    step^d p_B(x / step), for a product p of characteristic polynomials."""
-    d = len(coeffs) - 1
-    return tuple(Fraction(c, step ** (d - k)) for k, c in enumerate(coeffs))
+def _unscaled(coeffs: tuple, step: int) -> tuple[Fraction, ...]:
+    """p(x) from step^d p(x / step), whose roots are p's times step (for
+    p_B it is p_{step B}), coefficients from the leading one down: that of
+    x^(d-k) is divided by step^k."""
+    return tuple(Fraction(c, step ** k) for k, c in enumerate(coeffs))
+
+
+def _exact(t: int, den: int):
+    """t / den, an int when integral, else a Fraction."""
+    return t // den if t % den == 0 else Fraction(t, den)
 
 
 @dataclass

@@ -35,20 +35,19 @@ pairing transfers of `extensions`.
 Rational weights never reach an inner loop: `build_transfer_system`
 scales them once, by the lcm L of their denominators, and builds the whole
 system on the ints L w_i.  A cycle cover of an N x N matrix has N edges, so
-perm(L M) = L^N perm(M), and `sequence` divides each term once:
-T(n) = T_L(n) / L^size(n), an int when the quotient is integral, else a
-Fraction.
+perm(L M) = L^N perm(M), and `sequence` returns the integer terms
+T_L(n) = L^size(n) T(n); `pipeline.derive` divides L out of the recurrence
+fitted to them, once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import compress, count
 from operator import add, mul
 from typing import Sequence
 
-from .algebra import Massey
+from .algebra import Massey, _prime
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import (Decomposition, Vertex, lattice_edges, lattice_vertices,
                       row_last)
@@ -240,11 +239,6 @@ def build_beta(dec: Decomposition) -> list:
     return beta
 
 
-def _exact(t: int, den: int):
-    """t / den, an int when integral, else a Fraction."""
-    return t // den if t % den == 0 else Fraction(t, den)
-
-
 def census(dec: Decomposition, n: int) -> list:
     """(Weighted) count of legal covers of L_n per class, in canonical
     order: `_matchings` of the lattice edges, every vertex a tail and a
@@ -350,12 +344,12 @@ def _step(pulls: list[tuple], vec: list) -> list:
 
 
 def _enough(fit: Massey, bound: int) -> bool:
-    """Whether the terms `fit` reads are the bound + r that `min_recurrence`
-    needs, r their order so far by Berlekamp-Massey mod a prime, or show an
-    order above the bound, which `min_recurrence` refuses.  For a prime
-    that divides no term's denominator r is at most the true order, and
-    once bound + r terms are read it no longer changes (its residual
-    vanishes on bound consecutive indices)."""
+    """Whether the integer terms `fit` reads are the bound + r that
+    `min_recurrence` needs, r their order so far by Berlekamp-Massey mod a
+    prime, or show an order above the bound, which `min_recurrence`
+    refuses.  r is at most the true order, and once bound + r terms are
+    read it no longer changes (its residual vanishes on bound consecutive
+    indices)."""
     return len(fit.terms) >= bound + fit.read().order or fit.order > bound
 
 
@@ -383,8 +377,9 @@ def iterate(rows: list[list[tuple[int, object]]], start: list,
 
 def sequence(system: TransferSystem, bound: int,
              chis: Sequence[Sequence[int]]) -> list:
-    """Exact T(n) for n = n0, n0 + 1, ..., until there are the `_enough`
-    terms that `min_recurrence` needs for a sequence of order <= `bound`:
+    """The integer terms T_L(n) = L^size(n) T(n) of the system, L its
+    `scale`, for n = n0, n0 + 1, ..., until there are the `_enough` terms
+    that `min_recurrence` needs for a sequence of order <= `bound`:
     each zero-count group is stepped deg chi_i times, then run forward by
     its own chi_i, the characteristic polynomial of the integer block B_i
     (`chis`: ascending int coefficient lists in block order, as
@@ -397,7 +392,10 @@ def sequence(system: TransferSystem, bound: int,
     the recurrence chi_i, so its first deg chi_i values, from stepping the
     group's slices, give all the rest.  The system is on ints, so the shares
     run forward on ints, groups with equal chi_i as one, and term k is
-    their sum divided once by L^size(n0 + k), L the system's `scale`.
+    their sum.  The stopping run of Berlekamp-Massey uses the first prime
+    that does not divide L, as T_L vanishes mod one that does; mod any
+    other, T_L(n0 + k) = L^size(n0) (L^p)^k T(n0 + k) has the linear
+    complexity of T, prefix by prefix.
     """
     w = system.w
     nr = 1 << w
@@ -432,18 +430,14 @@ def sequence(system: TransferSystem, bound: int,
         if chi in shares:
             vals = list(map(add, shares[chi], vals))
         shares[chi] = vals
-    terms: list = []
-    fit = Massey(terms)
-    scale, spec = system.scale, system.dec.spec
+    terms: list[int] = []
+    fit = Massey(terms, next(i for i in count() if system.scale % _prime(i)))
     for k in count():
         t = 0
         for chi, vals in shares.items():
             if k == len(vals):
                 vals.append(-sum(map(mul, chi, vals[k - len(chi):])))
             t += vals[k]
-        if scale != 1:
-            # before Massey reads it: T_L vanishes mod a prime that divides L
-            t = _exact(t, scale ** spec.size(system.n0 + k))
         terms.append(t)
         if _enough(fit, bound):
             return terms

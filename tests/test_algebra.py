@@ -68,12 +68,11 @@ def test_min_recurrence_prefers_smallest_order():
     assert rec.order == 1 and rec.coeffs == (F(3),)
 
 
-def test_min_recurrence_rational_coefficients():
-    seq = [F(1)]
-    for _ in range(15):
-        seq.append(seq[-1] * F(1, 2))
-    rec = min_recurrence(seq, 0, 4)
-    assert rec.order == 1 and rec.coeffs == (F(1, 2),)
+def test_min_recurrence_refuses_rational_coefficients():
+    # the only recurrence of order 1 is T(n) = T(n-1) / 2, which no integer
+    # sequence obeys for ever (Fatou): the bound is false, and the fit says so
+    with pytest.raises(NoRecurrenceError, match="certified"):
+        min_recurrence([64, 32, 16, 8, 4, 2, 1], 0, 1)
 
 
 def test_min_recurrence_guard_rejects_short_fits():

@@ -43,6 +43,13 @@ def test_derive_table(capsys):
     ("linear_w0", ["--jumps", "0,1n+0", "--size", "2n"]),
     ("linear_p3", ["--jumps", "1,1n+0,2n+1", "--size", "3n+1"]),
     ("linear_twin", ["--jumps", "0,1n+0,1n+2", "--size", "2n"]),
+    # the fit's paths: a weight denominator that is the first fitting
+    # prime; coefficients past one prime; a weighted w = 4 fit
+    ("const_bigden", ["--jumps", "0,1,2",
+                      "--weights", "1/2305843009213693951,1,1"]),
+    ("linear_twoprime", ["--jumps", "3,1n-1,1n+0", "--size", "2n"]),
+    ("const_weighted_w4", ["--jumps", "0,1,4,7",
+                           "--weights", "3,1/2,-1,2"]),
 ])
 def test_derive_json_report_is_pinned(capsys, name, argv):
     """JSON reports stay byte-identical from change to change, timings
@@ -257,6 +264,20 @@ def test_eval_refuses_an_n_past_the_value_budget(capsys):
     assert code == 2
     assert err == (f"budget exceeded: T({n}) of C_n^{{0,1,2}} may have more "
                    f"than 4194304 bits: size {n} times 1.585 bits a row\n")
+
+
+def test_moments_refuses_a_ratio_past_the_value_budget(capsys):
+    # --budget-bits 6 caps a value at 64 bits; TC_0(n) <= 3^n has at most
+    # 1.585 n, so n = 40 is read and n = 41 refused before any state is
+    # built, but not at --order 0, where no ratio is read
+    argv = ["moments", "--jumps", "0,1,2", "--budget-bits", "6"]
+    assert cli.main(argv + ["--ratio-at", "40"]) == 0
+    assert "E[#cycles]  at n = 40: 182367/15127" in capsys.readouterr().out
+    code, err = _refusal(capsys, argv + ["--ratio-at", "41"], 1)
+    assert code == 2
+    assert err == ("budget exceeded: TC_0(41) of C_n^{0,1,2} may have more "
+                   "than 64 bits: size 41 times 1.585 bits a row\n")
+    assert cli.main(argv + ["--ratio-at", "41", "--order", "0"]) == 0
 
 
 def test_a_huge_budget_still_answers_or_refuses(capsys):

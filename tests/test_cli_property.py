@@ -140,5 +140,9 @@ def test_wide_specs_are_refused_by_the_width_check(case):
 
 @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True)
 @hypothesis.given(argvs())
+# E[#cycles] at an n past the value budget: refused, not evaluated
+@hypothesis.example(["moments", "--jumps", "0,1,2",
+                     "--ratio-at", "99999999999999999999"])
+@hypothesis.example(["moments", "--jumps", "0,1,2", "--ratio-at", "3000000"])
 def test_cli_answers_or_refuses_cleanly(argv):
     _run(argv)

@@ -1,4 +1,4 @@
-"""Property test: a sequence of order at most `bound`, given exactly
+"""Property test: an integer sequence of order at most `bound`, given exactly
 2*bound terms, is fitted with a recurrence of at most its planted order
 that goes on generating it."""
 import pytest
@@ -8,16 +8,15 @@ from circperm.algebra import eval_recurrence, min_recurrence
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-_coeff = st.one_of(st.integers(-3, 3),
-                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
-_initial = st.one_of(st.integers(-20, 20),
-                     st.fractions(min_value=-5, max_value=5, max_denominator=6))
+_coeff = st.integers(-3, 3)
+_initial = st.integers(-20, 20)
 
 
 @st.composite
 def planted(draw):
-    """(terms, order, bound): 4*bound terms of a planted recurrence of
-    order <= bound, run forward.  Order 0 gives the all-zero sequence."""
+    """(terms, order, bound): 4*bound terms of a planted integer
+    recurrence of order <= bound, run forward from integer initials.
+    Order 0 gives the all-zero sequence."""
     bound = draw(st.integers(1, 8))
     order = draw(st.integers(0, bound))
     coeffs = draw(st.lists(_coeff, min_size=order, max_size=order))

@@ -35,8 +35,11 @@ def test_recurrence_agrees_with_sequence_past_fit_window(derived, key):
     from circperm.transfer import sequence
     far = sequence(res.system, res.n0 + 2 * res.annihilator.degree + 15,
                    res.annihilator.chis)
+    # sequence counts on the integer weights L w_i: T_L(n) = L^size(n) T(n)
+    size = res.normalized.size
     for n in range(res.n0, res.n0 + len(far)):
-        assert eval_recurrence(res.recurrence, n) == far[n - res.n0]
+        assert (far[n - res.n0]
+                == res.system.scale ** size(n) * eval_recurrence(res.recurrence, n))
 
 
 def test_raw_term_handles_index_shift():

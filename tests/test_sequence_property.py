@@ -11,8 +11,8 @@ from circperm.algebra import _mul, annihilator_from_blocks
 from circperm.circulant import normalize, parse_spec
 from circperm.errors import BlockStructureError
 from circperm.lattice import decompose
-from circperm.transfer import (_exact, _group_span, build_transfer_system,
-                               iterate, sequence)
+from circperm.transfer import (_group_span, build_transfer_system, iterate,
+                               sequence)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -23,10 +23,9 @@ _WEIGHTS = ["1", "2", "-1", "1/2", "0", "-3/2"]
 def full_sequence(system, bound: int) -> list:
     """The reference: every nonzero left slice of T0 stepped by its B_i in
     one block-diagonal system on ints, with beta as output, until `iterate`
-    has bound + r terms; term k divided once by L^size(n0 + k).  The scale
-    leaves the stopping point as it is: mod a prime that divides no power
-    of L, every prefix of T_L(n0 + k) = L^size(n0 + k) T(n0 + k) has the
-    linear complexity of the same prefix of T."""
+    has bound + r terms: the integer terms T_L(n0 + k) = L^size(n0 + k)
+    T(n0 + k).  `iterate` stops on the first prime, which divides none of
+    the scales L drawn here."""
     w = system.w
     nr = 1 << w
     rows: list = []
@@ -42,10 +41,7 @@ def full_sequence(system, bound: int) -> list:
                      for row in system.blocks[pc]]
             start += seg[lo:lo + size]
             beta += system.beta[left * nr + lo:left * nr + lo + size]
-    raw = iterate(rows, start, [beta], bound)[0]
-    size = system.dec.spec.size
-    return [_exact(u, system.scale ** size(system.n0 + k))
-            for k, u in enumerate(raw)]
+    return iterate(rows, start, [beta], bound)[0]
 
 
 def _system(jumps, size=None, weights=None):

@@ -250,15 +250,15 @@ def test_sequence_equals_ryser(jumps, size, n_max):
     ("0,1n+0,2n-1", "3n", "2,-1,1/2", 6),
 ])
 def test_weighted_sequence_equals_ryser(jumps, size, weights, n_max):
-    """The integer stepping divides term k by L^size(n0 + k): the weighted terms
-    are the Ryser permanents of the weighted matrices, ints where whole."""
+    """The integer stepping counts on the weights L w_i: term k is
+    L^size(n0 + k) times the Ryser permanent of the weighted matrix, an int."""
     spec = normalize(parse_spec(jumps, size, weights))
     sys_ = build_transfer_system(decompose(spec))
     terms = sequence(sys_, n_max, _chis(sys_))
     for n in range(sys_.n0, n_max + 1):
         want = ryser_permanent(adjacency_matrix(spec, n))
-        assert terms[n - sys_.n0] == want, n
-        assert type(terms[n - sys_.n0]) is type(want), n
+        assert terms[n - sys_.n0] == sys_.scale ** spec.size(n) * want, n
+        assert type(terms[n - sys_.n0]) is int, n
 
 
 def test_weighted_blocks_are_scaled_to_ints():
