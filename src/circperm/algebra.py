@@ -298,16 +298,16 @@ def _generates(terms: Sequence[int], coeffs: list[int]) -> bool:
                for n in range(r, len(terms)))
 
 
-def _hankel_bound(terms: Sequence[int], size: int) -> int:
-    """A bound on |det| of every k x k matrix, k <= size, whose row i is
-    drawn from the terms u_i..u_(i+size): Hadamard's product of row norms,
-    each at least 1.  That covers the Hankel matrices (u_(i+j)) of order k
-    and the ones Cramer's rule makes from them by putting (u_k..u_(2k-1))
-    in a column."""
-    bound = 1
-    for i in range(size):
-        bound *= max(1, _norm(terms[i:i + size + 1]))
-    return bound
+def _hankel_bits(terms: Sequence[int], size: int) -> int:
+    """A b with 2^b above |det| of every k x k matrix, k <= size, whose row
+    i is drawn from the terms u_i..u_(i+size): Hadamard's product of row
+    norms, each below (size + 1) 2^(bit length of the row's largest term),
+    so that no big int is multiplied.  That covers the Hankel matrices
+    (u_(i+j)) of order k and the ones Cramer's rule makes from them by
+    putting (u_k..u_(2k-1)) in a column."""
+    bits = [abs(v).bit_length() for v in terms]
+    return (sum(max(bits[i:i + size + 1]) for i in range(size))
+            + size * (size + 1).bit_length())
 
 
 def min_recurrence(terms: Sequence[int], base: int, bound: int) -> Recurrence:
@@ -350,8 +350,8 @@ def min_recurrence(terms: Sequence[int], base: int, bound: int) -> Recurrence:
     mod a prime that does not divide the r x r Hankel determinant has order
     r and q's residues, as BM's recurrence of that length is unique on
     N >= 2r terms.  The primes of a smaller order all divide that
-    determinant, a nonzero integer.  Let H be the `_hankel_bound` of order
-    K = min(bound, N - bound) on the N given terms; as r <= K, it bounds
+    determinant, a nonzero integer.  Let H = 2^b, b the `_hankel_bits` of
+    order K = min(bound, N - bound) on the N given terms; as r <= K, H bounds
     that determinant, and by Cramer's rule every |c_j|.  Once the CRT
     modulus of the runs of the largest order exceeds 2 H, their primes
     cannot all divide the determinant, so that order is r and the residues
@@ -364,7 +364,7 @@ def min_recurrence(terms: Sequence[int], base: int, bound: int) -> Recurrence:
 
     An all-zero sequence gets order 1 with coefficient 0.
     """
-    given, group, modulus, hadamard = len(terms), -1, 1, None
+    given, group, modulus, bits = len(terms), -1, 1, None
     for index in count():
         run = Massey(terms, index).read()
         order, p = run.order, run.p
@@ -383,9 +383,9 @@ def min_recurrence(terms: Sequence[int], base: int, bound: int) -> Recurrence:
         coeffs = [c - modulus if 2 * c > modulus else c for c in lifted]
         if _generates(terms[:bound + order], coeffs):
             break
-        if hadamard is None:
-            hadamard = _hankel_bound(terms, min(bound, given - bound))
-        if modulus > 2 * hadamard:
+        if bits is None:
+            bits = _hankel_bits(terms, min(bound, given - bound))
+        if modulus.bit_length() > bits + 1:      # modulus >= 2^(b+1) > 2 H
             raise NoRecurrenceError(
                 f"no recurrence of order <= {bound} is certified by "
                 f"{given} terms")

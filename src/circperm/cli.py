@@ -24,7 +24,17 @@ from .report import (SCHEMA, decimal_str, derive_report, growth_dict,
                      num_str, recurrence_dict, render_json, render_table,
                      spec_dict, term_values)
 
-PARSE_ERRORS = (SpecSyntaxError, InconsistencyError, CollisionError)
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, which `main` reports on one line with exit
+    3, not argparse's 2, the budget code; its subparsers share the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+PARSE_ERRORS = (SpecSyntaxError, InconsistencyError, CollisionError,
+                argparse.ArgumentError)
 BUDGET_ERRORS = (SizeCapError, StateBudgetError)
 INTERNAL_ERRORS = (AnnihilationError, BlockStructureError, NoRecurrenceError)
 
@@ -165,7 +175,7 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circperm",
         description="Exact recurrences for permanents of circulant matrices "
                     "(cycle covers of directed circulant graphs), with "
@@ -238,10 +248,10 @@ def _unlimited_int_digits():
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_merge_value_flags(
-        list(sys.argv[1:] if argv is None else argv)))
     with _unlimited_int_digits():
         try:
+            args = parser.parse_args(_merge_value_flags(
+                list(sys.argv[1:] if argv is None else argv)))
             if args.corpus:
                 return cmd_corpus(args)
             if not getattr(args, "command", None):

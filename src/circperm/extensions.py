@@ -12,12 +12,13 @@ bit is whether its slot appears in the pairing.  `SignedModel.seed_counts`
 steps that transfer from the empty lattice up to the base size n0, so a seed
 costs its states, not its covers; `SignedModel.walk` then expands and
 completes each reachable state once, and each derivation compiles the
-result into one sparse integer transfer for `transfer.iterate`, whose
-stopping rule `derive`'s term stage shares.  Moments index by (state, j), holding m_j = sum
-over covers of (#closed cycles)^j, so closing c new cycles is the binomial
-map m'_t = sum_j C(t,j) c^(t-j) m_j; tours route each edge that closes the
-last open path to one sink state.  Correctness rests on oracle equivalence
-with exhaustive enumeration, not on any printed formula.
+result into `transfer.pull_rows` for `transfer.iterate`, which stops
+once Berlekamp-Massey has seen bound + r terms.  Moments index by
+(state, j), holding m_j = sum over covers of (#closed cycles)^j, so
+closing c new cycles is the binomial map m'_t = sum_j C(t,j) c^(t-j) m_j;
+tours route each edge that closes the last open path to one sink state.
+Correctness rests on oracle equivalence with exhaustive enumeration, not on
+any printed formula.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
 from .lattice import check_width, decompose
 from .pipeline import check_eval
-from .transfer import iterate
+from .transfer import iterate, pull_rows
 
 Slot = tuple[str, int]          # ("Lp"|"Lm"|"Rp"|"Rm", offset)
 # A pairing-transfer state: its open paths as (start slot, end slot).  An
@@ -262,15 +263,6 @@ def _shift_coeff(t: int, j: int, c: int) -> int:
     return comb(t, j) * c ** (t - j)
 
 
-def _pull_rows(entries: Iterable[tuple[int, int, int]], size: int) -> list[list]:
-    """Sparse pull rows from (row, col, value) entries, summing repeats."""
-    rows: list[dict[int, int]] = [{} for _ in range(size)]
-    for i, j, v in entries:
-        if v:
-            rows[i][j] = rows[i].get(j, 0) + v
-    return [list(r.items()) for r in rows]
-
-
 @dataclass
 class MomentsResult:
     spec: CirculantSpec
@@ -285,13 +277,18 @@ def moments_derive(spec: CirculantSpec, i_max: int,
                    ratio_at: Optional[int] = None) -> MomentsResult:
     """Recurrences for the cycle-count moments TC_0..TC_i of a raw
     constant-jump spec, via the pairing-augmented transfer, refusing first
-    a `ratio_at` whose TC_0 exceeds the value budget (`check_eval`)."""
+    a `ratio_at` whose TC_0 exceeds the value budget (`check_eval`), then
+    an order whose i + 1 moments a state exceed the pairing state cap."""
     if i_max < 0:
         raise InconsistencyError(f"moment order must be >= 0, got {i_max}")
     model = SignedModel(spec, "cycle moments", budget)
     if ratio_at is not None:
         check_eval(spec, ratio_at, budget, "TC_0")
     k = i_max + 1
+    if k > budget.pairing_state_cap:
+        raise StateBudgetError(
+            f"moment order {i_max} needs {k} moments a pairing state, "
+            f"above the augmented dimension cap {budget.pairing_state_cap}")
     cap = budget.pairing_state_cap // k
     what = f"augmented dimension states*{k} exceeds cap {budget.pairing_state_cap}"
     covers = model.seed_counts(cap, what)
@@ -303,9 +300,9 @@ def moments_derive(spec: CirculantSpec, i_max: int,
     for (state, closed), count in covers.items():
         for t in range(k):
             start[index[state] * k + t] += count * closed ** t
-    rows = _pull_rows(((dst * k + t, src * k + j, _shift_coeff(t, j, c))
-                       for src, dst, c in edges
-                       for t in range(k) for j in range(t + 1)), dim)
+    rows = pull_rows(((dst * k + t, src * k + j, _shift_coeff(t, j, c))
+                      for src, dst, c in edges
+                      for t in range(k) for j in range(t + 1)), dim)
     outputs = [[sum(_shift_coeff(i, j, o) for o in orbits) if j <= i else 0
                 for orbits in completions for j in range(k)]
                for i in range(k)]
@@ -360,9 +357,9 @@ def hamiltonian_derive(spec: CirculantSpec,
         start[index[state]] += count
     start[sink] = whole
     # a step that closes a cycle keeps a tour only if no open path is left
-    rows = _pull_rows(((dst if closed == 0 else sink, src, 1)
-                       for src, dst, closed in edges
-                       if closed == 0 or not states[dst]), sink + 1)
+    rows = pull_rows(((dst if closed == 0 else sink, src, 1)
+                      for src, dst, closed in edges
+                      if closed == 0 or not states[dst]), sink + 1)
     tours = [sum(1 for o in orbits if o == 1) for orbits in completions] + [1]
     at_sink = [0] * sink + [1]
 

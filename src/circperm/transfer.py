@@ -28,9 +28,10 @@ both the degree-bound argument and the work-saver: each left mask's slice
 of T0 only ever meets its own B_i.  `sequence` makes derive's terms from
 that: it steps each group's slices deg chi_i times, chi_i = char(B_i) as
 the annihilator stage checked it, and runs the group's share of the terms
-forward by chi_i.  `iterate` (sparse pull rows, a start vector and output
-vectors in, one term list per output out) is the stepping loop of the
-pairing transfers of `extensions`.
+forward by chi_i, to the 2 * bound terms the fit is handed.  `iterate`
+(pull rows, a start vector and output vectors in, one term list per output
+out) is the pairing engines' stepping loop, the only one that stops on
+Berlekamp-Massey.  Both step through `_powers`, on `pull_rows`.
 
 Rational weights never reach an inner loop: `build_transfer_system`
 scales them once, by the lcm L of their denominators, and builds the whole
@@ -43,11 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress, count
+from itertools import compress, islice
 from operator import add, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .algebra import Massey, _prime
+from .algebra import Massey
 from .errors import BlockStructureError, InconsistencyError
 from .lattice import (Decomposition, Vertex, lattice_edges, lattice_vertices,
                       row_last)
@@ -328,19 +329,27 @@ def build_transfer_system(dec: Decomposition) -> TransferSystem:
     return TransferSystem(dec, a_bar, blocks, beta, t0, scale)
 
 
-def _pulls(rows: list[list[tuple[int, object]]]) -> list[tuple]:
-    """Sparse pull rows of (col, val) pairs as (cols, vals), vals None for
-    a row of int ones, which sums its columns with no multiplication."""
-    return [([j for j, _ in row],
-             None if all(type(v) is int and v == 1 for _, v in row)
-             else [v for _, v in row]) for row in rows]
+def pull_rows(entries: Iterable[tuple[int, int, object]],
+              size: int) -> list[tuple]:
+    """The sparse pull rows of the `size` x `size` matrix with the (row,
+    col, value) `entries`, repeats summed: (cols, vals) per row, its nonzero
+    entries, vals None for a row of ones, which sums its columns."""
+    rows: list[dict[int, object]] = [{} for _ in range(size)]
+    for i, j, v in entries:
+        if v:
+            rows[i][j] = rows[i].get(j, 0) + v
+    return [(list(row), None if all(v == 1 for v in row.values())
+             else list(row.values())) for row in rows]
 
 
-def _step(pulls: list[tuple], vec: list) -> list:
-    """The vector the pull rows make from `vec`."""
-    get = vec.__getitem__
-    return [sum(map(get, cols)) if vals is None
-            else sum(map(mul, vals, map(get, cols))) for cols, vals in pulls]
+def _powers(pulls: list[tuple], vec: list):
+    """vec, A vec, A^2 vec, ... for the matrix A whose pull rows are
+    `pulls`, each power made only when it is asked for."""
+    while True:
+        yield vec
+        get = vec.__getitem__
+        vec = [sum(map(get, cols)) if vals is None
+               else sum(map(mul, vals, map(get, cols))) for cols, vals in pulls]
 
 
 def _enough(fit: Massey, bound: int) -> bool:
@@ -353,37 +362,33 @@ def _enough(fit: Massey, bound: int) -> bool:
     return len(fit.terms) >= bound + fit.read().order or fit.order > bound
 
 
-def iterate(rows: list[list[tuple[int, object]]], start: list,
-            outputs: list[list], bound: int) -> list[list]:
+def iterate(pulls: list[tuple], start: list, outputs: list[list],
+            bound: int) -> list[list]:
     """The pairing engines' stepping loop: for each output vector o, the
-    terms o . v_k for k = 0, 1, ..., where v_0 = `start` and v_{k+1}[i] is
-    the sum of val * v_k[col] over the sparse pull row `rows[i]` of (col,
-    val) pairs.
-
-    `bound` is a proven bound on the order of every output's sequence, and
-    the loop stops once every output has `_enough` terms."""
+    terms o . A^k start for k = 0, 1, ..., A the matrix with pull rows
+    `pulls`, until every output has `_enough` terms for its order r <=
+    `bound`, a proven bound: bound + r, which for a small r is well short
+    of the 2 bound terms that `derive` makes."""
     outs = [[(j, o) for j, o in enumerate(out) if o] for out in outputs]
-    pulls = _pulls(rows)
     terms: list[list] = [[] for _ in outs]
     fits = [Massey(ts) for ts in terms]
-    vec = start
-    while True:
+    for vec in _powers(pulls, start):
         for out, ts in zip(outs, terms):
             ts.append(sum(o * vec[j] for j, o in out))
         if all(_enough(fit, bound) for fit in fits):
             return terms
-        vec = _step(pulls, vec)
 
 
 def sequence(system: TransferSystem, bound: int,
              chis: Sequence[Sequence[int]]) -> list:
     """The integer terms T_L(n) = L^size(n) T(n) of the system, L its
-    `scale`, for n = n0, n0 + 1, ..., until there are the `_enough` terms
-    that `min_recurrence` needs for a sequence of order <= `bound`:
-    each zero-count group is stepped deg chi_i times, then run forward by
-    its own chi_i, the characteristic polynomial of the integer block B_i
-    (`chis`: ascending int coefficient lists in block order, as
-    `annihilator_from_blocks` hands them on).
+    `scale`, for the 2 * `bound` sizes n = n0, n0 + 1, ...: at least the
+    bound + r that `min_recurrence` needs for an order r <= `bound`, with
+    no Berlekamp-Massey run to say where to stop.  Each zero-count group is
+    stepped deg chi_i times, then run forward by its own chi_i, the
+    characteristic polynomial of the integer block B_i (`chis`: ascending
+    int coefficient lists in block order, as `annihilator_from_blocks`
+    hands them on).
 
     Each left mask's slice of T0 is supported on the zero-count group
     matching its own popcount i, so only B_i ever acts on it, and T(n0 + k)
@@ -392,52 +397,38 @@ def sequence(system: TransferSystem, bound: int,
     the recurrence chi_i, so its first deg chi_i values, from stepping the
     group's slices, give all the rest.  The system is on ints, so the shares
     run forward on ints, groups with equal chi_i as one, and term k is
-    their sum.  The stopping run of Berlekamp-Massey uses the first prime
-    that does not divide L, as T_L vanishes mod one that does; mod any
-    other, T_L(n0 + k) = L^size(n0) (L^p)^k T(n0 + k) has the linear
-    complexity of T, prefix by prefix.
+    their sum.
     """
     w = system.w
     nr = 1 << w
-    groups: dict[int, list[tuple[list, list]]] = {}
+    starts: dict[int, list[int]] = {}   # per popcount, its nonzero slices
     for left in range(nr):
-        pc = left.bit_count()
-        lo, size = _group_span(w, pc)
+        lo, size = _group_span(w, left.bit_count())
         seg = system.t0[left * nr:(left + 1) * nr]
         if any(seg[:lo]) or any(seg[lo + size:]):
             raise BlockStructureError(
                 "T0 has support outside its zero-count group")
-        # a zero slice stays zero under every B_i
-        if any(seg[lo:lo + size]):
-            start = left * nr + lo
-            groups.setdefault(pc, []).append(
-                (seg[lo:lo + size], system.beta[start:start + size]))
+        if any(seg):            # a zero slice stays zero under every B_i
+            starts.setdefault(left.bit_count(), []).append(left * nr + lo)
     shares: dict[tuple, list[int]] = {}
-    for pc, slices in groups.items():
-        chi = tuple(chis[pc][:-1])
+    for pc, group in starts.items():
+        chi, block = tuple(chis[pc][:-1]), system.blocks[pc]
+        size = len(block)
+        rows = pull_rows(((i, j, v) for i, row in enumerate(block)
+                          for j, v in enumerate(row)), size)
         # the group's slices side by side, stepped by B_i
-        size = len(slices[0][0])
-        pulls = _pulls([[(off + j, v) for j, v in enumerate(row) if v]
-                        for off in range(0, size * len(slices), size)
-                        for row in system.blocks[pc]])
-        vec = [v for seg, _ in slices for v in seg]
-        out = [(j, v) for j, v in
-               enumerate(v for _, beta in slices for v in beta) if v]
-        vals = [sum(o * vec[j] for j, o in out)]
-        while len(vals) < len(chi):
-            vec = _step(pulls, vec)
-            vals.append(sum(o * vec[j] for j, o in out))
-        if chi in shares:
-            vals = list(map(add, shares[chi], vals))
-        shares[chi] = vals
-    terms: list[int] = []
-    fit = Massey(terms, next(i for i in count() if system.scale % _prime(i)))
-    for k in count():
-        t = 0
-        for chi, vals in shares.items():
-            if k == len(vals):
-                vals.append(-sum(map(mul, chi, vals[k - len(chi):])))
-            t += vals[k]
-        terms.append(t)
-        if _enough(fit, bound):
-            return terms
+        pulls = [([off + j for j in cols], vals)
+                 for off in range(0, size * len(group), size)
+                 for cols, vals in rows]
+        start = [v for s in group for v in system.t0[s:s + size]]
+        out = [(j, v) for j, v in enumerate(
+            v for s in group for v in system.beta[s:s + size]) if v]
+        vals = [sum(o * vec[j] for j, o in out)
+                for vec in islice(_powers(pulls, start), len(chi))]
+        shares[chi] = list(map(add, shares.get(chi, [0] * len(chi)), vals))
+    terms = [0] * (2 * bound)
+    for chi, vals in shares.items():
+        for k in range(len(vals), len(terms)):
+            vals.append(-sum(map(mul, chi, vals[k - len(chi):])))
+        terms = list(map(add, terms, vals))
+    return terms

@@ -13,6 +13,7 @@ from circperm import cli
 from circperm.budget import Budget
 from circperm.circulant import parse_spec
 from circperm.errors import SizeCapError
+from circperm.extensions import SignedModel
 from circperm.pipeline import VerificationEntry, check_eval
 from circperm.report import growth_dict
 
@@ -280,6 +281,24 @@ def test_moments_refuses_a_ratio_past_the_value_budget(capsys):
     assert cli.main(argv + ["--ratio-at", "41", "--order", "0"]) == 0
 
 
+def test_moments_refuses_an_order_past_the_pairing_cap(capsys, monkeypatch):
+    # order 5000 needs 5001 moments a state, above the cap of 4096, so no
+    # state is built; the spec's own refusals and the ratio's come first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pairing state was built")
+    monkeypatch.setattr(SignedModel, "seed_counts", refuse)
+    argv = ["moments", "--jumps", "0,1", "--order", "5000"]
+    code, err = _refusal(capsys, argv, 1)
+    assert code == 2
+    assert err == ("budget exceeded: moment order 5000 needs 5001 moments a "
+                   "pairing state, above the augmented dimension cap 4096\n")
+    code, err = _refusal(capsys, argv + ["--weights", "1,2"], 1)
+    assert code == 3 and "defined for unweighted specs" in err
+    code, err = _refusal(capsys, argv + ["--budget-bits", "6",
+                                         "--ratio-at", "99"], 1)
+    assert code == 2 and err.startswith("budget exceeded: TC_0(99)")
+
+
 def test_a_huge_budget_still_answers_or_refuses(capsys):
     # the value cap is 2^min(bits, 62): a bits count this large must not
     # build a 2^bits integer
@@ -420,6 +439,31 @@ def test_bad_argument_exits_3_with_one_line(capsys, argv):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive"], "the following arguments are required: --jumps"),
+    (["eval", "--jumps", "0,1", "--n", "abc"],
+     "argument --n: invalid int value: 'abc'"),
+    (["derive", "--jumps", "0,1", "--bogus"], "unrecognized arguments: --bogus"),
+    (["frob"], "argument command: invalid choice: 'frob'"),
+    (["derive", "--jumps", "0,1", "--out", "xml"],
+     "argument --out: invalid choice: 'xml'"),
+], ids=["missing-jumps", "n-not-int", "unknown-flag", "unknown-subcommand",
+        "unknown-format"])
+def test_usage_errors_exit_3_with_one_line(capsys, argv, message):
+    """Usage errors are parse errors, not argparse's exit 2, which is the
+    budget code."""
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["derive", "--help"])
+    assert exc.value.code == 0 and "--jumps" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, analysis", [

@@ -3,17 +3,19 @@ recurrence, the modular fit returns what the order-by-order Hankel solve
 and the Berlekamp-Massey pass over the rationals it replaced return, or
 refuses a window that only a recurrence with a fractional coefficient
 fits, and it needs exactly bound + r terms."""
+import json
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
-from circperm import algebra
+from circperm import algebra, transfer
 from circperm.algebra import Massey, Recurrence, _prime, min_recurrence
 from circperm.circulant import parse_spec
 from circperm.errors import InconsistencyError, NoRecurrenceError
 from circperm.pipeline import derive
-from circperm.transfer import sequence
+from circperm.report import recurrence_dict
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -195,21 +197,37 @@ def test_modular_fit_matches_the_rational_berlekamp_massey(case):
         min_recurrence(terms[:need - 1], 3, bound)
 
 
-def test_a_denominator_the_first_prime_divides_moves_the_run_on():
+def test_a_denominator_the_first_prime_divides_moves_the_run_on(monkeypatch):
     """With weights 1/P0, 1, 1, P0 = 2^61 - 1 the first prime, the integer
-    terms T_L(n) = P0^n T(n) vanish mod P0: `sequence`'s stopping run takes
-    the next prime and stops at cap + r terms, r the recurrence's order,
-    not at the cap that a run of order 0 would stop at."""
+    terms T_L(n) = P0^n T(n) are 1 mod P0, as only the cover by self-loops
+    has no factor P0: the fit's first run, mod P0, has order 1, the run mod
+    the next prime has the true order 4 and supersedes it, and the
+    recurrence is the one the pinned report holds."""
+    runs = _runs(monkeypatch)
     p0 = _prime(0)
     res = derive(parse_spec("0,1,2", weights=f"1/{p0},1,1"))
-    assert res.system.scale == p0 and res.recurrence.order > 0
-    cap = max(res.annihilator.degree, 1)
-    terms = sequence(res.system, cap, res.annihilator.chis)
-    assert len(terms) == cap + res.recurrence.order
+    assert res.system.scale == p0 and res.recurrence.order == 4
+    assert runs[:2] == [(p0, 1), (_prime(1), 4)]
+    pinned = Path(__file__).parent / "reports" / "const_bigden.json"
+    assert (recurrence_dict(res.recurrence)
+            == json.loads(pinned.read_text())["recurrence"])
+
+
+@pytest.mark.parametrize("jumps, size, weights", [
+    ("0,1,2", None, None), ("0,1,4", None, "1/2,3,-1"),
+    ("1,1n+0,2n+1", "3n+1", None), ("-2,2", "2n-1", "3,1/7")])
+def test_derive_runs_berlekamp_massey_mod_the_first_prime_once(
+        monkeypatch, jumps, size, weights):
+    """`sequence` stops on the proven bound, not on a run of its own: the
+    fit's first run is a derive's only one mod the first prime."""
+    runs = _runs(monkeypatch)
+    derive(parse_spec(jumps, size, weights))
+    assert [p for p, _ in runs].count(_prime(0)) == 1
 
 
 def _runs(monkeypatch) -> list[tuple[int, int]]:
-    """Record each Berlekamp-Massey run of the fit as (prime, order)."""
+    """Record each Berlekamp-Massey run, the fit's and any stepping
+    loop's, as (prime, order) at every read."""
     runs = []
 
     class Counted(Massey):
@@ -219,6 +237,7 @@ def _runs(monkeypatch) -> list[tuple[int, int]]:
             return self
 
     monkeypatch.setattr(algebra, "Massey", Counted)
+    monkeypatch.setattr(transfer, "Massey", Counted)
     return runs
 
 

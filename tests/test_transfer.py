@@ -168,7 +168,7 @@ def test_self_loop_only_spec():
     sys_ = build_transfer_system(_dec("0"))
     assert sys_.a_bar == [[1]]
     assert sys_.beta == [1] and sys_.t0 == [1]
-    assert sequence(sys_, 6, _chis(sys_)) == [1] * 7
+    assert sequence(sys_, 6, _chis(sys_)) == [1] * 12
 
 
 def test_linear_a_bar_against_direct_cover_counts():
@@ -301,7 +301,9 @@ def test_a_new_vertex_no_new_edge_reaches_is_refused():
         build_alpha(missing)
 
 
-def test_sequence_stops_at_the_bound_plus_the_order(sys012):
-    # {0,1,2} has order 3: a bound of 3 needs 6 terms, a looser one more
+def test_sequence_gives_twice_the_bound(sys012):
+    # {0,1,2} has order 3: 2 * bound terms are the bound + 3 the fit needs
+    # and more, whatever the order
     assert sequence(sys012, 3, _chis(sys012)) == [9, 13, 20, 31, 49, 78]
-    assert len(sequence(sys012, 10, _chis(sys012))) == 13
+    looser = sequence(sys012, 10, _chis(sys012))
+    assert len(looser) == 20 and looser[:6] == [9, 13, 20, 31, 49, 78]
