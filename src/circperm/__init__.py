@@ -7,8 +7,8 @@ with exact arithmetic, for constant and linear-in-n jumps, weighted
 variants, cycle-count moments, and Hamiltonian-cycle counts, and
 cross-validates everything against brute-force oracles.
 """
-from .algebra import (GrowthEstimate, Polynomial, Recurrence, char_poly,
-                      eval_recurrence, growth, min_recurrence)
+from .algebra import (GrowthEstimate, Recurrence, char_poly, eval_recurrence,
+                      growth, min_recurrence)
 from .budget import Budget
 from .circulant import CirculantSpec, adjacency_matrix, normalize, parse_spec
 from .errors import (AnnihilationError, BlockStructureError, CircPermError,

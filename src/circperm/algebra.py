@@ -29,37 +29,6 @@ from .errors import AnnihilationError, InconsistencyError, NoRecurrenceError
 Matrix = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficients ascending by degree, ints or Fractions, the leading one
-    nonzero."""
-
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i > 0 and abs(c) == 1:
-                piece = mono
-            elif i == 0:
-                piece = str(abs(c))
-            else:
-                piece = f"{abs(c)}{mono}"
-            parts.append(("-" if c < 0 else "+") + piece)
-        s = "".join(parts)
-        return s[1:] if s.startswith("+") else "-" + s[1:]
-
-
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the first twelve prime bases: exact for
     37 < n < 3.3e24."""
@@ -209,13 +178,19 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Annihilator(Polynomial):
-    """A polynomial that kills every block, with the characteristic
-    polynomial chi_i of each block B_i kept in `chis` as its ascending int
-    coefficients (block order, repeats included): the part of the sequence
-    that comes from B_i obeys chi_i."""
+class Annihilator:
+    """A polynomial that kills every block, its coefficients ascending by
+    degree (ints or Fractions, the leading one nonzero), with the
+    characteristic polynomial chi_i of each block B_i kept in `chis` as its
+    ascending int coefficients (block order, repeats included): the part of
+    the sequence that comes from B_i obeys chi_i."""
 
+    coeffs: tuple
     chis: tuple[tuple[int, ...], ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
 
 def annihilator_from_blocks(blocks: Sequence[Matrix]) -> Annihilator:

@@ -6,7 +6,6 @@ Exit codes: 0 success; 1 internal inconsistency or verification mismatch;
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from typing import Optional
@@ -71,9 +70,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, budget = _parse(args), _budget(args)
-    result = derive(spec, budget)
-    entries = verify(spec, args.n_max, budget, result)
+    budget = _budget(args)
+    result = derive(_parse(args), budget)
+    entries = verify(result, args.n_max, budget)
     if args.out == "json":
         print(render_json(derive_report(result, entries)))
     else:
@@ -86,7 +85,7 @@ def cmd_eval(args) -> int:
     jump_residues(spec, args.n)     # refuses sizes <= 0 and colliding jumps
     check_eval(spec, args.n, budget)
     result = derive(spec, budget)
-    if args.n + result.normalized.trace.index_shift < result.n0:
+    if args.n < result.raw_n0:
         # below the transfer base the recurrence is not known to hold
         value = ryser_permanent(adjacency_matrix(spec, args.n),
                                 max_dim=budget.ryser_max_dim)
@@ -118,7 +117,7 @@ def cmd_moments(args) -> int:
     res = moments_derive(spec, args.order, _budget(args),
                          ratio_n if args.order >= 1 else None)
     rec = res.recurrences[args.order]
-    ratio = moments_ratio(spec, ratio_n, result=res) if args.order >= 1 else None
+    ratio = moments_ratio(res, ratio_n) if args.order >= 1 else None
     if args.out == "json":
         rep = {
             "schema": SCHEMA, "spec": spec_dict(spec), "moment": args.order,

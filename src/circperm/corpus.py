@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from .algebra import eval_recurrence
 from .budget import Budget
-from .circulant import CirculantSpec, parse_spec
+from .circulant import parse_spec
 from .errors import BlockStructureError, SizeCapError
 from .extensions import hamiltonian_derive, moments_derive, moments_ratio
 from .oracle import brute_hamiltonian, enumerate_stats
@@ -144,15 +144,13 @@ def check_golden_transfer(get) -> list[Check]:
     blocks and the annihilator, all bit-exact, and A = diag(A-bar x4)
     checked against the cover census of L_5."""
     res = get("0,1,2")
-    sys_ = res.system
+    sys_, ann = res.system, list(res.annihilator.coeffs)
     out = [
         ("beta", sys_.beta == GOLDEN_BETA, f"{sys_.beta}"),
         ("T-bar(4)", sys_.t0 == GOLDEN_T4, f"{sys_.t0}"),
         ("A-bar", sys_.a_bar == GOLDEN_A_BAR, f"{sys_.a_bar}"),
         ("blocks", sys_.blocks == GOLDEN_BLOCKS, f"{sys_.blocks}"),
-        ("annihilator",
-         [Fraction(c) for c in GOLDEN_ANNIHILATOR] == list(res.annihilator.coeffs),
-         str(res.annihilator)),
+        ("annihilator", ann == GOLDEN_ANNIHILATOR, f"{ann}"),
     ]
     # A = diag(A-bar x4) carries T-bar(4) to T-bar(5): golden A-bar on each
     # left mask's slice of golden T-bar(4) must give the census of L_5
@@ -174,22 +172,21 @@ def check_table1(get) -> list[Check]:
               and [Fraction(c) for c in row["coeffs"]] == list(rec.coeffs))
         out.append((f"{row['name']} recurrence", ok,
                     f"order {rec.order}, coeffs {[str(c) for c in rec.coeffs]}"))
-        shift = res.normalized.trace.index_shift
-        vals = {n: eval_recurrence(rec, n + shift) for n in row["initials"]}
+        vals = {n: res.raw_term(n) for n in row["initials"]}
         ok = vals == row["initials"]
         out.append((f"{row['name']} initials", ok, f"{vals}"))
     return out
 
 
-def _ledger(label: str, spec: CirculantSpec, n_max: int,
-            budget: Budget, res: DeriveResult) -> tuple[bool, int, str]:
+def _ledger(label: str, res: DeriveResult, n_max: int,
+            budget: Budget) -> tuple[bool, int, str]:
     """(ok, sizes checked, detail) of `verify` up to n_max: the detail
     names the first mismatch.  A size within n_max past the Ryser cap is
     refused, as the oracle would refuse it; a refusal names the check, the
     spec and, where there is one, the n."""
-    where = f"{label} ({spec.describe()})"
+    where = f"{label} ({res.spec.describe()})"
     try:
-        entries = verify(spec, n_max, budget, res)
+        entries = verify(res, n_max, budget)
     except SizeCapError as exc:
         raise SizeCapError(f"{where}: {exc}") from exc
     for e in entries:
@@ -213,11 +210,10 @@ def check_oracle_equivalence(get, budget: Budget = Budget(),
     specs += [("1,2,3", None), ("1,2", None)]
     out: list[Check] = []
     for jumps, size in specs:
-        spec = parse_spec(jumps, size)
-        n_max = (size_cap - spec.size_offset) // spec.size_coeff
+        res = get(jumps, size)
+        n_max = (size_cap - res.spec.size_offset) // res.spec.size_coeff
         label = f"oracle equivalence {jumps}" + (f" size {size}" if size else "")
-        ok, checked, detail = _ledger(label, spec, n_max, budget,
-                                      get(jumps, size))
+        ok, checked, detail = _ledger(label, res, n_max, budget)
         out.append((label, ok and checked > 0,
                     detail or f"{checked} sizes checked"))
     return out
@@ -276,7 +272,7 @@ def check_table2(budget: Budget = Budget()) -> list[Check]:
         out.append((f"{row['name']} vs enumeration", ok, detail or f"n <= {n}"))
         # ratio/n converges to the printed constant like 1/n; n=2000 puts the
         # residual at 5e-4, inside the 1e-3 tolerance for both rows
-        r = moments_ratio(spec, 2000, budget, result=res)
+        r = moments_ratio(res, 2000)
         dev = abs(float(r / 2000) - row["ratio_limit"])
         out.append((f"{row['name']} ratio limit", dev < 1e-3,
                     f"ratio/n = {float(r / 2000):.6f}, dev {dev:.2e}"))
@@ -288,9 +284,7 @@ def check_shift_pairs(get) -> list[Check]:
     out: list[Check] = []
     for (j1, s1), (j2, s2) in SHIFT_PAIRS:
         r1, r2 = get(j1, s1), get(j2, s2)
-        sh1 = r1.normalized.trace.index_shift
-        sh2 = r2.normalized.trace.index_shift
-        n_lo = max(r1.n0 - sh1, r2.n0 - sh2)
+        n_lo = max(r1.raw_n0, r2.raw_n0)
         ok = all(r1.raw_term(n) == r2.raw_term(n)
                  for n in range(n_lo, n_lo + 8))
         out.append((f"shift pair {j1} / {j2} permanents equal", ok,
@@ -306,9 +300,11 @@ def check_shift_pairs(get) -> list[Check]:
 
 def check_hamiltonian(budget: Budget = Budget()) -> list[Check]:
     out: list[Check] = []
+    recs = {}
     for jumps in HAMILTONIAN_SPECS:
         spec = parse_spec(jumps)
         res = hamiltonian_derive(spec, budget)
+        recs[jumps] = res.recurrence
         ok, detail = True, ""
         for n in range(4, 13):
             got = eval_recurrence(res.recurrence, n)
@@ -320,8 +316,7 @@ def check_hamiltonian(budget: Budget = Budget()) -> list[Check]:
         ok = all(eval_recurrence(res.recurrence, n)
                  == brute_hamiltonian(spec, n, budget) for n in (13, 14, 15))
         out.append((f"HC({jumps}) recurrence extrapolates to n = 13..15", ok, ""))
-    a, b = (hamiltonian_derive(parse_spec(j), budget).recurrence
-            for j in ("0,1,2", "1,2"))
+    a, b = recs["0,1,2"], recs["1,2"]
     out.append(("HC(0,1,2) equals HC(1,2) for n = 4..16",
                 all(eval_recurrence(a, n) == eval_recurrence(b, n)
                     for n in range(4, 17)), ""))
@@ -332,10 +327,9 @@ def check_weighted(get) -> list[Check]:
     out: list[Check] = []
     case = WEIGHTED_CASE
     wres = get(case["jumps"], None, case["weights"])
-    spec = parse_spec(case["jumps"], weights=case["weights"])
     label = f"weighted {case['weights']} on {case['jumps']} = weighted Ryser, n = 4..12"
     # sizes up to 12 fit the default caps whatever budget the replay runs under
-    ok, _, detail = _ledger(label, spec, 12, Budget(), wres)
+    ok, _, detail = _ledger(label, wres, 12, Budget())
     out.append((label, ok, detail))
     plain = get(case["jumps"])
     unit = get(case["jumps"], None, "1,1,1")

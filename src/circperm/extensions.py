@@ -266,7 +266,6 @@ def _shift_coeff(t: int, j: int, c: int) -> int:
 @dataclass
 class MomentsResult:
     spec: CirculantSpec
-    i_max: int
     n0: int
     state_count: int
     recurrences: dict[int, Recurrence]    # order i -> recurrence of TC_i
@@ -309,16 +308,13 @@ def moments_derive(spec: CirculantSpec, i_max: int,
 
     terms = iterate(rows, start, outputs, dim)
     recs = {i: min_recurrence(terms[i], model.n0, dim) for i in range(k)}
-    return MomentsResult(spec, i_max, model.n0, len(index), recs)
+    return MomentsResult(spec, model.n0, len(index), recs)
 
 
-def moments_ratio(spec: CirculantSpec, n: int,
-                  budget: Budget = Budget(),
-                  result: Optional[MomentsResult] = None) -> Fraction:
+def moments_ratio(result: MomentsResult, n: int) -> Fraction:
     """Exact expected cycle count TC_1(n)/TC_0(n) of a uniformly random
-    restricted permutation."""
-    jump_residues(spec, n)     # refuses sizes <= 0 and colliding jumps
-    result = result or moments_derive(spec, 1, budget, n)
+    restricted permutation of `result`'s spec, derived to order >= 1."""
+    jump_residues(result.spec, n)     # refuses sizes <= 0 and colliding jumps
     tc1 = eval_recurrence(result.recurrences[1], n)
     tc0 = eval_recurrence(result.recurrences[0], n)
     if tc0 == 0:

@@ -33,9 +33,8 @@ def ryser_permanent(matrix: Sequence[Sequence], max_dim: Optional[int] = 24):
     and the states stay in the hundreds at the dimension cap.  On a dense
     matrix nothing closes until the last rows and the state count reaches
     C(n, n/2): an all-ones 20x20 takes 5-6 s and 62 MiB (Python 3.11, a
-    2-CPU container), where Glynn's 2^(n-1) sign-vector sum, the oracle
-    before this one, took 2 s and 16 MiB.  No caller builds such a matrix:
-    the oracle gets circulant adjacencies.
+    2-CPU container).  No caller builds such a matrix: the oracle gets
+    circulant adjacencies.
 
     Entries may be ints or Fractions.  Each row is scaled by the lcm D_r of
     its denominators, so the sums run on ints, and prod D_r is divided out

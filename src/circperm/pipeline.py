@@ -7,7 +7,6 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (Annihilator, GrowthEstimate, Recurrence,
                       annihilator_from_blocks, eval_recurrence, growth,
@@ -36,6 +35,11 @@ class DeriveResult:
     @property
     def n0(self) -> int:
         return self.system.n0
+
+    @property
+    def raw_n0(self) -> int:
+        """n0 as a raw index of the original (pre-normalization) spec."""
+        return self.n0 - self.normalized.trace.index_shift
 
     def term(self, n_normalized: int):
         """Exact T at a normalized index, from the recurrence."""
@@ -153,16 +157,15 @@ class VerificationEntry:
     note: str = ""
 
 
-def verify(spec: CirculantSpec, n_max: int,
-           budget: Budget = Budget(),
-           result: Optional[DeriveResult] = None) -> list[VerificationEntry]:
-    """Compare recurrence values against both oracles for every raw n up to
-    n_max that fits the budget; entries record both values either way."""
-    result = result or derive(spec, budget)
-    shift = result.normalized.trace.index_shift
+def verify(result: DeriveResult, n_max: int,
+           budget: Budget = Budget()) -> list[VerificationEntry]:
+    """Compare the recurrence values of `result` against both oracles on
+    its spec, for every raw n up to n_max that fits the budget; entries
+    record both values either way."""
+    spec = result.spec
     entries: list[VerificationEntry] = []
     # the first index from n0 on with a matrix: size 0 has none, as in eval
-    n_start = max(result.n0 - shift, 0)
+    n_start = max(result.raw_n0, 0)
     while spec.size(n_start) <= 0:
         n_start += 1
     if n_max < n_start:

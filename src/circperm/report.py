@@ -100,7 +100,8 @@ def derive_report(result: DeriveResult,
             "slot_width": result.system.w,
             "a_bar_dim": len(result.system.a_bar),
             "block_sizes": [len(b) for b in result.system.blocks],
-            "full_matrix_copies": result.system.multiplicity,
+            # copies of A-bar on the diagonal of the full A
+            "full_matrix_copies": 1 << result.system.w,
         },
         "annihilator": {
             "degree": result.annihilator.degree,

@@ -105,11 +105,6 @@ class TransferSystem:
     def n0(self) -> int:
         return self.dec.n0
 
-    @property
-    def multiplicity(self) -> int:
-        """Copies of A-bar on the diagonal of the full A."""
-        return 1 << self.w
-
 
 def _matchings(width: int, out: list[list], rbits: list[int],
                lbits: list[int]) -> dict[tuple[int, int], object]:

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from circperm import algebra
-from circperm.algebra import (Polynomial, Recurrence, _check_kills, _mul,
-                              _squarefree, _top_root, annihilator_from_blocks,
-                              char_poly, eval_recurrence, growth,
-                              min_recurrence)
+from circperm.algebra import (Recurrence, _check_kills, _mul, _squarefree,
+                              _top_root, annihilator_from_blocks, char_poly,
+                              eval_recurrence, growth, min_recurrence)
 from circperm.errors import (AnnihilationError, InconsistencyError,
                              NoRecurrenceError)
 from circperm.report import decimal_str
@@ -245,8 +244,3 @@ def test_squarefree_after_an_unlucky_prime_is_the_prs_answer(monkeypatch):
     _up_to_sign(_squarefree(chi), chi)
     assert len(calls) == 1
     assert _top_root(_squarefree(chi)) == q
-
-
-def test_polynomial_str():
-    p = Polynomial((1, 0, -2, 1))
-    assert str(p) == "x^3-2x^2+1"

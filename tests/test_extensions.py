@@ -64,16 +64,16 @@ def test_self_loop_spec_moment_is_n():
     res = moments_derive(parse_spec("0"), 1)
     for n in (5, 17, 40):
         assert eval_recurrence(res.recurrences[1], n) == n
-        assert moments_ratio(parse_spec("0"), n, result=res) == n
+        assert moments_ratio(res, n) == n
 
 
 def test_expected_cycles_ratios():
-    r = moments_ratio(parse_spec("-1,0,1"), 200)
+    r = moments_ratio(moments_derive(parse_spec("-1,0,1"), 1), 200)
     assert isinstance(r, Fraction)
     assert abs(float(r / 200) - 0.7236) < 1e-3
     # the {0,1,2} ratio approaches .2764n with a +1 offset; at n=2000 the
     # residual is 5e-4
-    r = moments_ratio(parse_spec("0,1,2"), 2000)
+    r = moments_ratio(moments_derive(parse_spec("0,1,2"), 1), 2000)
     assert abs(float(r / 2000) - 0.2764) < 1e-3
 
 

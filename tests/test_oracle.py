@@ -16,7 +16,7 @@ from circperm.circulant import adjacency_matrix, jump_residues, parse_spec
 from circperm.corpus import TABLE1
 from circperm.errors import CollisionError, InconsistencyError, SizeCapError
 from circperm.oracle import brute_hamiltonian, enumerate_stats, ryser_permanent
-from circperm.pipeline import verify
+from circperm.pipeline import derive, verify
 from covers import backtrack_stats
 
 
@@ -231,7 +231,7 @@ def test_four_jump_permanent_matches_enumeration():
 
 
 def test_weighted_ryser_matches_the_derived_recurrence():
-    entries = verify(parse_spec("0,1,3", weights="1/2,3,-1"), 14)
+    entries = verify(derive(parse_spec("0,1,3", weights="1/2,3,-1")), 14)
     assert [e.n for e in entries] == list(range(6, 15))
     assert all(e.ryser_value == e.recurrence_value for e in entries)
     assert any(type(e.ryser_value) is Fraction for e in entries)

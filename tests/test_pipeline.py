@@ -46,6 +46,7 @@ def test_raw_term_handles_index_shift():
     spec = parse_spec("0,1n+0", "2n+3")
     res = derive(spec)
     assert res.normalized.trace.index_shift == 1
+    assert res.raw_n0 == res.n0 - 1
     for n in range(1, 6):
         assert res.raw_term(n) == ryser_permanent(adjacency_matrix(spec, n))
 
@@ -70,8 +71,7 @@ def test_raw_term_refuses_an_index_with_no_matrix(derived, jumps, size, n,
 
 
 def test_verify_ledger_contents(derived):
-    spec = parse_spec("0,1,2")
-    entries = verify(spec, 12, result=derived("0,1,2"))
+    entries = verify(derived("0,1,2"), 12)
     assert all(e.ok for e in entries)
     real = [e for e in entries if e.recurrence_value is not None]
     assert [e.n for e in real] == list(range(4, 13))
@@ -81,8 +81,7 @@ def test_verify_ledger_contents(derived):
 
 def test_verify_skips_degenerate_sizes(derived):
     # {1,2,3} at n=3 collides mod 3; the ledger records the skip
-    spec = parse_spec("1,2,3")
-    entries = verify(spec, 10, result=derived("1,2,3"))
+    entries = verify(derived("1,2,3"), 10)
     assert all(e.ok for e in entries)
     assert all(e.n >= 4 for e in entries if e.recurrence_value is not None)
 
@@ -91,7 +90,7 @@ def test_verify_below_the_base_names_the_first_index(derived):
     # n0 of {0,1,5} is 10; sizes up to 9 are far below any oracle cap
     with pytest.raises(InconsistencyError,
                        match="up to n=9: the first verifiable index is n=10"):
-        verify(parse_spec("0,1,5"), 9, result=derived("0,1,5"))
+        verify(derived("0,1,5"), 9)
 
 
 
@@ -102,7 +101,7 @@ def test_wide_derive_of_0_1_8(derived):
     assert res.recurrence.order == 223
     assert res.annihilator.degree == 255
     assert decimal_str(res.growth.dominant_root) == "1.3920674885"
-    entries = verify(parse_spec("0,1,8"), 24, result=res)
+    entries = verify(res, 24)
     assert [e.n for e in entries] == list(range(16, 25))
     assert all(e.ok and e.recurrence_value == e.ryser_value for e in entries)
     assert [e.n for e in entries if e.enumeration_value is not None] == list(range(16, 21))

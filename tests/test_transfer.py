@@ -69,7 +69,6 @@ def test_golden_transfer_data(sys012):
     assert sys012.blocks == [[[1]], [[1, 1], [1, 0]], [[1]]]
     assert sys012.beta == [1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1]
     assert sys012.t0 == [1, 0, 0, 0, 0, 2, 1, 0, 0, 3, 2, 0, 0, 0, 0, 1]
-    assert sys012.multiplicity == 4
 
 
 @pytest.mark.parametrize("jumps,size,weights", [
