@@ -6,6 +6,7 @@ Exit codes: 0 success; 1 internal inconsistency or verification mismatch;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from typing import Optional
@@ -173,7 +174,17 @@ def cmd_corpus(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built on the first call and shared by every
+    later call in the process, so `main` does not rebuild it per call.
+
+    Callers must not change the shared parser: `parse_args` leaves it as
+    it is and returns a fresh namespace, and nothing else may touch it.
+    `set_defaults(fn=cmd_*)` binds each command function once, here, so
+    code that replaces a command patches what the command calls (as the
+    tests patch `cli.derive` or `cli.verify`), not the `cmd_*` function.
+    """
     parser = _Parser(
         prog="circperm",
         description="Exact recurrences for permanents of circulant matrices "

@@ -1,9 +1,11 @@
 """CLI surface: flags, output formats, exit codes, JSON round-trip."""
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -524,3 +526,59 @@ def test_simple_real_dominant_root_is_reported(capsys, argv, root):
     assert g["note"] == LOWER_BOUND and g["dominant_root"] is None
     # every printed digit is true: 3.0000000000, 8.0000000000, 8.1250000000
     assert g["modulus"] == f"{float(root):.10f}"
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# cheap command lines for every path through the shared parser: the
+# --budget-bits default on both levels, both formats, a usage error, a
+# subcommand's --help and the bare top-level help
+_REPLAYED = [
+    (["--budget-bits", "3", "verify", "--jumps", "0,1,2", "--n-max", "10"], 2),
+    (["verify", "--jumps", "0,1,2", "--n-max", "10", "--budget-bits", "3"], 2),
+    (["verify", "--jumps", "0,1,2", "--n-max", "10"], 0),
+    (["derive", "--jumps", "-1,0,1", "--out", "json"], 0),
+    (["derive", "--jumps", "-1,0,1"], 0),
+    (["derive", "--jumps", "0,1", "--out", "xml"], 3),
+    (["derive", "--help"], "SystemExit(0)"),
+    ([], 0),
+]
+
+
+def _replay(argv):
+    """(exit code, stdout, stderr) of one in-process `main` call; --help
+    leaves through argparse's SystemExit, recorded by its repr, and a JSON
+    report is read without its wall-clock `timings`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    out = out.getvalue()
+    if out.startswith("{"):
+        out = json.loads(out)
+        del out["timings"]
+    return code, out, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    recorded = [_replay(argv) for argv, _ in _REPLAYED]
+    assert [code for code, _, _ in recorded] == [c for _, c in _REPLAYED]
+    assert recorded[-1][1].startswith("usage: circperm")
+    assert recorded[6][1].startswith("usage: circperm derive")
+    assert recorded[5][2].count("\n") == 1
+    return recorded
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+@hypothesis.given(st.permutations(range(len(_REPLAYED))))
+def test_shared_parser_carries_nothing_between_calls(replayed, order):
+    for i in order:
+        assert _replay(_REPLAYED[i][0]) == replayed[i], _REPLAYED[i][0]
