@@ -29,6 +29,13 @@ from .errors import AnnihilationError, InconsistencyError, NoRecurrenceError
 Matrix = Sequence[Sequence[int]]
 
 
+def exact(num, den):
+    """num / den for ints or Fractions, exactly: an int when the quotient is
+    integral, else a reduced Fraction.  Every exact value the package
+    returns takes this form."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the first twelve prime bases: exact for
     37 < n < 3.3e24."""
@@ -180,10 +187,10 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 @dataclass(frozen=True)
 class Annihilator:
     """A polynomial that kills every block, its coefficients ascending by
-    degree (ints or Fractions, the leading one nonzero), with the
-    characteristic polynomial chi_i of each block B_i kept in `chis` as its
-    ascending int coefficients (block order, repeats included): the part of
-    the sequence that comes from B_i obeys chi_i."""
+    degree (the leading one nonzero; ints when integral, else Fractions),
+    with the characteristic polynomial chi_i of each block B_i kept in
+    `chis` as its ascending int coefficients (block order, repeats
+    included): the part of the sequence that comes from B_i obeys chi_i."""
 
     coeffs: tuple
     chis: tuple[tuple[int, ...], ...]
@@ -209,10 +216,11 @@ def annihilator_from_blocks(blocks: Sequence[Matrix]) -> Annihilator:
 
 @dataclass(frozen=True)
 class Recurrence:
-    """T(n) = sum_j coeffs[j-1] * T(n-j), valid for n >= base + order."""
+    """T(n) = sum_j coeffs[j-1] * T(n-j), valid for n >= base + order; each
+    coefficient and initial is an int when integral, else a Fraction."""
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
     base: int
     initials: tuple
 
@@ -364,10 +372,9 @@ def min_recurrence(terms: Sequence[int], base: int, bound: int) -> Recurrence:
             raise NoRecurrenceError(
                 f"no recurrence of order <= {bound} is certified by "
                 f"{given} terms")
-    initials = tuple(terms[:max(order, 1)])
     if order == 0:
-        return Recurrence(1, (Fraction(0),), base, initials)
-    return Recurrence(order, tuple(map(Fraction, coeffs)), base, initials)
+        order, coeffs = 1, [0]
+    return Recurrence(order, tuple(coeffs), base, tuple(terms[:order]))
 
 
 def _mulmod(a: list[int], b: list[int], chi: list[int]) -> list[int]:
@@ -402,16 +409,15 @@ def eval_recurrence(rec: Recurrence, n: int):
             raise InconsistencyError("cannot extend backward: trailing coefficient 0")
         # S(k) = T(base + d - 1 - k) has S(k) = sum_{j<d} -c_(d-j)/c_d
         # S(k-j) + S(k-d)/c_d, starting from the initials reversed
-        back = tuple(-Fraction(c) / cd for c in reversed(rec.coeffs[:-1]))
-        rev = Recurrence(rec.order, back + (1 / Fraction(cd),), 0,
+        back = tuple(exact(-c, cd) for c in reversed(rec.coeffs[:-1]))
+        rev = Recurrence(rec.order, back + (exact(1, cd),), 0,
                          rec.initials[::-1])
         return eval_recurrence(rev, rec.base + rec.order - 1 - n)
     # with D the lcm of the coefficient denominators, U(m) =
     # D^m * T(base+m) obeys the integer recurrence c'_j = c_j * D^j
-    coeffs = [Fraction(c) for c in rec.coeffs]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    chi = [int(c * scale ** j) for j, c in enumerate(coeffs, 1)]
-    inits = [Fraction(v) * scale ** i for i, v in enumerate(rec.initials)]
+    scale = math.lcm(*(c.denominator for c in rec.coeffs))
+    chi = [int(c * scale ** j) for j, c in enumerate(rec.coeffs, 1)]
+    inits = [v * scale ** i for i, v in enumerate(rec.initials)]
     common = math.lcm(*(v.denominator for v in inits))
     k = n - rec.base
     r = [1] + [0] * (rec.order - 1)
@@ -421,8 +427,7 @@ def eval_recurrence(rec: Recurrence, n: int):
             r = _mulx(r, chi)
     num = sum(ri * v.numerator * (common // v.denominator)
               for ri, v in zip(r, inits))
-    den = common * scale ** k
-    return num // den if num % den == 0 else Fraction(num, den)
+    return exact(num, common * scale ** k)
 
 
 # reports print growth constants to this many decimal places, and
@@ -434,11 +439,11 @@ DECIMALS = 10
 class GrowthEstimate:
     """Dominant growth of a recurrence: its dominant root when a theorem
     identifies it among the real roots, else a lower bound on the dominant
-    modulus.  Both are exact rationals: a root, or the midpoint of a
-    certified bracket that holds one."""
+    modulus.  Both are exact rationals, ints when integral: a root, or the
+    midpoint of a certified bracket that holds one."""
 
-    dominant_root: Optional[Fraction]
-    modulus: Fraction
+    dominant_root: Optional[Fraction | int]
+    modulus: Fraction | int
     error_bound: float
     note: str
 
@@ -535,7 +540,7 @@ def _value(c: list[int], num: int, den: int) -> int:
     return acc
 
 
-def _top_root(c: list[int]) -> Optional[Fraction]:
+def _top_root(c: list[int]) -> Optional[Fraction | int]:
     """The largest positive root of the squarefree integer polynomial c,
     or None when it has none.
 
@@ -562,11 +567,11 @@ def _top_root(c: list[int]) -> Optional[Fraction]:
     q = _primitive([v << b * i for i, v in enumerate(c)])
     cell = 10 ** DECIMALS
 
-    def x_at(j: int, k: int) -> Fraction:
+    def x_at(j: int, k: int) -> Fraction | int:
         """The point t = j / 2^k of (0, 1) back on (0, B)."""
-        return Fraction(j << b, 1 << k)
+        return exact(j << b, 1 << k)
 
-    def refine(m: int, k: int, left: bool) -> Fraction:
+    def refine(m: int, k: int, left: bool) -> Fraction | int:
         """The one root of q on (m, m + 1) / 2^k, where q is `left`-signed
         just right of the left end (which may itself be a root)."""
         tried = None
@@ -627,10 +632,10 @@ def growth(rec: Recurrence, nonneg: bool) -> GrowthEstimate:
     chi = _squarefree([int(-c * scale) for c in reversed(rec.coeffs)] + [scale])
     top = _top_root(chi)
     if nonneg:
-        best = Fraction(0) if top is None else top
+        best = 0 if top is None else top
         return GrowthEstimate(best, best, 1e-9, "largest-modulus real root")
     mirror = _top_root([-v if i % 2 else v for i, v in enumerate(chi)])
-    best = max((r for r in (top, mirror) if r is not None), default=Fraction(0))
+    best = max((r for r in (top, mirror) if r is not None), default=0)
     return GrowthEstimate(None, best, 1e-9,
                           "terms may be negative: largest |real root|, "
                           "a lower bound on the dominant modulus")

@@ -21,8 +21,8 @@ from .extensions import hamiltonian_derive, moments_derive, moments_ratio
 from .oracle import ryser_permanent
 from .pipeline import check_eval, derive, verify
 from .report import (SCHEMA, decimal_str, derive_report, growth_dict,
-                     num_str, recurrence_dict, render_json, render_table,
-                     spec_dict, term_values)
+                     recurrence_dict, render_json, render_table, spec_dict,
+                     term_values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
         value = result.raw_term(args.n)
     if args.out == "json":
         print(render_json({"schema": SCHEMA, "spec": spec_dict(spec),
-                           "n": args.n, "value": num_str(value)}))
+                           "n": args.n, "value": str(value)}))
     else:
         print(f"T({args.n}) = {value}")
     return 0
@@ -127,7 +127,7 @@ def cmd_moments(args) -> int:
             "terms": {"start": res.n0, "values": term_values(rec, 16)},
         }
         if ratio is not None:
-            rep["expected_cycles"] = {"n": ratio_n, "value": num_str(ratio),
+            rep["expected_cycles"] = {"n": ratio_n, "value": str(ratio),
                                       "over_n": float(ratio / ratio_n)}
         print(render_json(rep))
     else:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
 
-from .algebra import Recurrence, eval_recurrence, min_recurrence
+from .algebra import Recurrence, eval_recurrence, exact, min_recurrence
 from .budget import Budget
 from .circulant import CirculantSpec, jump_residues
 from .errors import InconsistencyError, StateBudgetError
@@ -311,7 +311,7 @@ def moments_derive(spec: CirculantSpec, i_max: int,
     return MomentsResult(spec, model.n0, len(index), recs)
 
 
-def moments_ratio(result: MomentsResult, n: int) -> Fraction:
+def moments_ratio(result: MomentsResult, n: int) -> Fraction | int:
     """Exact expected cycle count TC_1(n)/TC_0(n) of a uniformly random
     restricted permutation of `result`'s spec, derived to order >= 1."""
     jump_residues(result.spec, n)     # refuses sizes <= 0 and colliding jumps
@@ -319,7 +319,7 @@ def moments_ratio(result: MomentsResult, n: int) -> Fraction:
     tc0 = eval_recurrence(result.recurrences[0], n)
     if tc0 == 0:
         raise InconsistencyError(f"no cycle covers at n={n}: E[#cycles] undefined")
-    return Fraction(tc1, tc0)
+    return exact(tc1, tc0)
 
 
 @dataclass

@@ -179,13 +179,16 @@ def decompose(spec: CirculantSpec, check_span: int = 2) -> Decomposition:
     n0 = 2 * bar_s
     width = max(s_plus, s_minus)
     n_eval = max(n0, 1)
+    # each concrete lattice L_n is built once, for hook_at and new_at
+    lattices = {n: lattice_edges(spec, n)
+                for n in range(n_eval, n_eval + check_span + 2)}
 
     def hook_at(n):
-        return _symbolize_edges(spec, n, circulant_edges(spec, n) - lattice_edges(spec, n),
+        return _symbolize_edges(spec, n, circulant_edges(spec, n) - lattices[n],
                                 width, allow_new=False)
 
     def new_at(n):
-        el_n, el_n1 = lattice_edges(spec, n), lattice_edges(spec, n + 1)
+        el_n, el_n1 = lattices[n], lattices[n + 1]
         missing = {e for e in el_n if e not in el_n1}
         if missing:
             raise InconsistencyError(f"lattice not monotone at n={n}: {missing}")

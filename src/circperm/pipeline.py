@@ -6,11 +6,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .algebra import (Annihilator, GrowthEstimate, Recurrence,
-                      annihilator_from_blocks, eval_recurrence, growth,
-                      min_recurrence)
+                      annihilator_from_blocks, eval_recurrence, exact,
+                      growth, min_recurrence)
 from .budget import Budget
 from .circulant import (CirculantSpec, adjacency_matrix, jump_residues,
                         normalize)
@@ -94,7 +93,7 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
     if scale != 1:
         # T_L(n) = L^size(n) T(n): its recurrence's roots are T's times L^p
         rec = replace(rec, coeffs=_unscaled((1,) + rec.coeffs, step)[1:],
-                      initials=tuple(_exact(v, scale ** norm.size(n)) for n, v
+                      initials=tuple(exact(v, scale ** norm.size(n)) for n, v
                                      in enumerate(rec.initials, rec.base)))
     timings["recurrence"] = time.perf_counter() - t
 
@@ -134,16 +133,11 @@ def check_eval(spec: CirculantSpec, n: int, budget: Budget = Budget(),
             f"bits: size {size} times {math.log2(total):.3f} bits a row")
 
 
-def _unscaled(coeffs: tuple, step: int) -> tuple[Fraction, ...]:
+def _unscaled(coeffs: tuple, step: int) -> tuple:
     """p(x) from step^d p(x / step), whose roots are p's times step (for
     p_B it is p_{step B}), coefficients from the leading one down: that of
     x^(d-k) is divided by step^k."""
-    return tuple(Fraction(c, step ** k) for k, c in enumerate(coeffs))
-
-
-def _exact(t: int, den: int):
-    """t / den, an int when integral, else a Fraction."""
-    return t // den if t % den == 0 else Fraction(t, den)
+    return tuple(exact(c, step ** k) for k, c in enumerate(coeffs))
 
 
 @dataclass

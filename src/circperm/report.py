@@ -1,7 +1,8 @@
 """Machine- and human-readable run reports.
 
-All numbers serialize as decimal strings (arbitrary precision safe);
-table mode may abbreviate long integers with a digit count.
+All numbers serialize as decimal strings (arbitrary precision safe): an
+exact value is an int when integral, else a Fraction (`algebra.exact`), and
+`str` prints it; table mode may abbreviate long integers with a digit count.
 """
 from __future__ import annotations
 
@@ -16,14 +17,8 @@ from .pipeline import DeriveResult, VerificationEntry
 SCHEMA = 1
 
 
-def num_str(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
 def abbreviate(v, limit: int = 24) -> str:
-    s = num_str(v)
+    s = str(v)
     if len(s) <= limit:
         return s
     return f"{s[:8]}…({len(s)} digits)"
@@ -36,7 +31,7 @@ def spec_dict(spec: CirculantSpec) -> dict:
         "constant": spec.constant,
     }
     if spec.weights is not None:
-        d["weights"] = [num_str(w) for w in spec.weights]
+        d["weights"] = [str(w) for w in spec.weights]
     if not spec.trace.trivial:
         d["normalization"] = {"offset_shift": spec.trace.offset_shift,
                               "index_shift": spec.trace.index_shift}
@@ -49,31 +44,31 @@ def spec_strings(spec: CirculantSpec) -> dict:
     if not spec.constant:
         out["size"] = spec.size_text()
     if spec.weights is not None:
-        out["weights"] = ",".join(num_str(w) for w in spec.weights)
+        out["weights"] = ",".join(str(w) for w in spec.weights)
     return out
 
 
 def recurrence_dict(rec: Recurrence) -> dict:
     return {
         "order": rec.order,
-        "coeffs": [num_str(c) for c in rec.coeffs],
+        "coeffs": [str(c) for c in rec.coeffs],
         "base": rec.base,
-        "initials": [num_str(t) for t in rec.initials],
+        "initials": [str(t) for t in rec.initials],
         "convention": "T(n) = sum_j coeffs[j-1]*T(n-j)",
     }
 
 
 def term_values(rec: Recurrence, count: int) -> list[str]:
     """T(base), ..., T(base + count - 1): the initials, then the recurrence
-    run forward.  A term is an int or a Fraction as it comes, which
-    `num_str` prints alike when it is whole."""
+    run forward, on ints for every unweighted spec; a whole term of Fraction
+    coefficients may be a Fraction, which `str` prints as an int."""
     vals = list(rec.initials[:count])
     while len(vals) < count:
         vals.append(sum(c * vals[-j] for j, c in enumerate(rec.coeffs, 1)))
-    return [num_str(v) for v in vals]
+    return [str(v) for v in vals]
 
 
-def decimal_str(x: Fraction) -> str:
+def decimal_str(x: Fraction | int) -> str:
     """x >= 0 rounded to DECIMALS places, exactly (ties to even)."""
     whole, frac = divmod(round(x * 10 ** DECIMALS), 10 ** DECIMALS)
     return f"{whole}.{frac:0{DECIMALS}d}"
@@ -105,7 +100,7 @@ def derive_report(result: DeriveResult,
         },
         "annihilator": {
             "degree": result.annihilator.degree,
-            "coeffs": [num_str(c) for c in result.annihilator.coeffs],
+            "coeffs": [str(c) for c in result.annihilator.coeffs],
         },
         "recurrence": recurrence_dict(result.recurrence),
         "terms": {"start": result.n0,
@@ -115,9 +110,9 @@ def derive_report(result: DeriveResult,
     }
     if verification is not None:
         rep["verification"] = [
-            {"n": e.n, "size": e.size, "recurrence": num_str(e.recurrence_value),
-             "ryser": num_str(e.ryser_value),
-             "enumeration": None if e.enumeration_value is None else num_str(e.enumeration_value),
+            {"n": e.n, "size": e.size, "recurrence": str(e.recurrence_value),
+             "ryser": str(e.ryser_value),
+             "enumeration": None if e.enumeration_value is None else str(e.enumeration_value),
              "ok": e.ok, **({"note": e.note} if e.note else {})}
             for e in verification]
     return rep

@@ -93,13 +93,15 @@ def test_min_recurrence_on_exactly_twice_the_bound():
 
 def test_min_recurrence_all_zero_and_zero_tail():
     rec = min_recurrence([0] * 14, 2, 5)
-    assert (rec.order, rec.coeffs, rec.initials) == (1, (F(0),), (0,))
+    assert (rec.order, rec.coeffs, rec.initials) == (1, (0,), (0,))
+    assert type(rec.coeffs[0]) is int
     rec = min_recurrence([5] + [0] * 13, 2, 5)
-    assert (rec.order, rec.coeffs, rec.initials) == (1, (F(0),), (5,))
-    # all-int terms make int/int discrepancy ratios, which must stay exact
+    assert (rec.order, rec.coeffs, rec.initials) == (1, (0,), (5,))
+    assert type(rec.coeffs[0]) is int
+    # the certified coefficients are integers, and stay ints
     rec = min_recurrence([2, 0, 1, 1] + [0] * 8, 0, 4)
-    assert (rec.order, rec.coeffs, rec.initials) == (4, (F(0),) * 4, (2, 0, 1, 1))
-    assert all(isinstance(c, F) for c in rec.coeffs)
+    assert (rec.order, rec.coeffs, rec.initials) == (4, (0,) * 4, (2, 0, 1, 1))
+    assert all(type(c) is int for c in rec.coeffs)
 
 
 def test_min_recurrence_failure_signals():

@@ -64,6 +64,45 @@ def test_derive_json_report_is_pinned(capsys, name, argv):
     assert out == want.read_text()
 
 
+_EVAL_WEIGHTED = ["eval", "--jumps", "0,1,3", "--weights", "1/2,3,-1"]
+_MOMENTS = ["moments", "--jumps", "-1,0,1", "--order", "1"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    # weights integral and not; a Fraction value from the recurrence, one
+    # from Ryser below n0 = 6, and an int value
+    ("eval_weighted.json", [*_EVAL_WEIGHTED, "--n", "7", "--out", "json"]),
+    ("eval_weighted_below_n0.json",
+     [*_EVAL_WEIGHTED, "--n", "5", "--out", "json"]),
+    ("eval_int.json", ["eval", "--jumps", "0,1,2", "--n", "9", "--out", "json"]),
+    ("growth.json", ["growth", "--jumps", "0,1,2", "--out", "json"]),
+    ("growth.txt", ["growth", "--jumps", "0,1,2"]),
+    ("growth_signed.json", ["growth", "--jumps", "0,1,2", "--weights",
+                            "1,1/2,-1", "--out", "json"]),
+    ("growth_signed.txt", ["growth", "--jumps", "0,1,2", "--weights",
+                           "1,1/2,-1"]),
+    # E[#cycles] is the int 4 at n = 6 and a Fraction at n = 200
+    ("moments_ratio_int.json", [*_MOMENTS, "--ratio-at", "6", "--out", "json"]),
+    ("moments_ratio_int.txt", [*_MOMENTS, "--ratio-at", "6"]),
+    ("moments_ratio.json", [*_MOMENTS, "--ratio-at", "200", "--out", "json"]),
+    ("moments_ratio.txt", [*_MOMENTS, "--ratio-at", "200"]),
+    ("hamiltonian.json", ["hamiltonian", "--jumps", "1,3", "--out", "json"]),
+    ("hamiltonian.txt", ["hamiltonian", "--jumps", "1,3"]),
+    # the stopped entry at n = 25 writes "recurrence" and "ryser" as the
+    # string "None", not null: bench/reference.py and bench/pin.py filter
+    # entries on that string
+    ("verify_stopped.json", ["verify", "--jumps", "0,1,2", "--n-max", "30",
+                             "--out", "json"]),
+])
+def test_printer_output_is_pinned(capsys, name, argv):
+    """Each printer's output stays byte-identical from change to change,
+    timings aside, against a recorded one (tests/reports/cli)."""
+    code, out = run(capsys, *argv)
+    assert code == 0
+    out = re.sub(r',\n  "timings": \{[^}]*\}', "", out)
+    assert out == (Path(__file__).parent / "reports" / "cli" / name).read_text()
+
+
 def test_derive_degenerate_single_self_loop(capsys):
     code, out = run(capsys, "derive", "--jumps", "0", "--out", "json")
     assert code == 0

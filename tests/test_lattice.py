@@ -1,6 +1,7 @@
 """Lattice decomposition: Hook/New sets, n-independence, boundary membership."""
 import pytest
 
+from circperm import lattice
 from circperm.circulant import normalize, parse_spec
 from circperm.errors import InconsistencyError
 from circperm.lattice import (circulant_edges, decompose, lattice_edges,
@@ -97,6 +98,16 @@ def test_hook_symbolics_stable_over_many_n():
     spec = normalize(parse_spec("2,1n+1,2n+2", "3n+1"))
     dec = decompose(spec, check_span=8)
     assert dec.hook and dec.new
+
+
+def test_decompose_builds_each_lattice_once(monkeypatch):
+    """Hook(n) and New(n) over n = n0 .. n0 + check_span read L_n and
+    L_(n+1) from one build per n."""
+    built, real = [], lattice.lattice_edges
+    monkeypatch.setattr(lattice, "lattice_edges",
+                        lambda spec, n: built.append(n) or real(spec, n))
+    assert decompose(parse_spec("0,1,3")).n0 == 6
+    assert built == [6, 7, 8, 9]
 
 
 def test_signed_hook_runs_both_ways():
