@@ -9,7 +9,8 @@ is checked and the distinct chi_i are multiplied exactly on ints; the
 rational annihilator of a rational-weight spec is made once from that
 product, for the report (`pipeline.derive`).  Recurrences are fitted to
 integer terms mod the same primes, lifted to integer coefficients by CRT
-and checked exactly on ints, and evaluated on scaled ints.  Growth
+and checked exactly on ints, and evaluated on scaled ints by Bostan-Mori
+halving, whose only product is the schoolbook `_mul`.  Growth
 isolates only the top real root of the characteristic polynomial, on
 ints, and bisects it until its rounding to DECIMALS places is certain, so
 no float enters any reported value.
@@ -377,32 +378,12 @@ def min_recurrence(terms: Sequence[int], base: int, bound: int) -> Recurrence:
     return Recurrence(order, tuple(coeffs), base, tuple(terms[:order]))
 
 
-def _mulmod(a: list[int], b: list[int], chi: list[int]) -> list[int]:
-    """a * b mod chi(x) = x^d - sum_j chi[j-1] x^(d-j), for a, b of degree < d."""
-    d = len(chi)
-    prod = _mul(a, b)
-    for i in range(2 * d - 2, d - 1, -1):
-        top = prod[i]
-        if top:
-            for j, c in enumerate(chi, 1):
-                prod[i - j] += top * c
-    return prod[:d]
-
-
-def _mulx(a: list[int], chi: list[int]) -> list[int]:
-    """x * a mod chi(x), for a of degree < d."""
-    top, out = a[-1], [0] + a[:-1]
-    if top:
-        for j, c in enumerate(chi, 1):
-            out[-j] += top * c
-    return out
-
-
 def eval_recurrence(rec: Recurrence, n: int):
-    """Exact T(n) = sum_i r_i * initials_i with r(x) = x^(n-base) mod chi(x)
-    by square-and-multiply (Fiduccia 1985): O(d^2 log n) multiplications,
-    all on ints.  Below the base it runs the reversed recurrence forward,
-    which needs an invertible trailing coefficient."""
+    """Exact T(n) = [x^k] P(x)/Q(x), k = n - base, with Q = 1 - sum_j c_j x^j
+    and P = Q * (initials) mod x^d, by halving k (Bostan and Mori 2021):
+    O(d^2 log n) multiplications, all on ints, and a series division once
+    k < d.  Below the base it runs the reversed recurrence forward, which
+    needs an invertible trailing coefficient."""
     if n < rec.base:
         cd = rec.coeffs[-1]
         if cd == 0:
@@ -413,21 +394,26 @@ def eval_recurrence(rec: Recurrence, n: int):
         rev = Recurrence(rec.order, back + (exact(1, cd),), 0,
                          rec.initials[::-1])
         return eval_recurrence(rev, rec.base + rec.order - 1 - n)
-    # with D the lcm of the coefficient denominators, U(m) =
-    # D^m * T(base+m) obeys the integer recurrence c'_j = c_j * D^j
+    # on ints: Q times the lcm of the coefficient denominators, and the
+    # initials times that of theirs, `common`, so P/Q generates common * T
+    d, k = rec.order, n - rec.base
     scale = math.lcm(*(c.denominator for c in rec.coeffs))
-    chi = [int(c * scale ** j) for j, c in enumerate(rec.coeffs, 1)]
-    inits = [v * scale ** i for i, v in enumerate(rec.initials)]
-    common = math.lcm(*(v.denominator for v in inits))
-    k = n - rec.base
-    r = [1] + [0] * (rec.order - 1)
-    for bit in bin(k)[2:]:
-        r = _mulmod(r, r, chi)
-        if bit == "1":
-            r = _mulx(r, chi)
-    num = sum(ri * v.numerator * (common // v.denominator)
-              for ri, v in zip(r, inits))
-    return exact(num, common * scale ** k)
+    common = math.lcm(*(v.denominator for v in rec.initials))
+    q = [scale] + [-int(c * scale) for c in rec.coeffs]
+    p = _mul(q, [int(v * common) for v in rec.initials])[:d]
+    while k >= d:
+        # P/Q = P(x)Q(-x) / Q(x)Q(-x), whose denominator is even in x
+        q_neg = [(-c if j % 2 else c) for j, c in enumerate(q)]
+        p = _mul(p, q_neg)[k % 2::2]
+        q = _mul(q, q_neg)[::2]
+        k //= 2
+    # P/Q up to x^k on ints: u_i = q0^(i+1) [x^i] P/Q
+    pw = [q[0] ** i for i in range(k + 2)]
+    u = []
+    for i in range(k + 1):
+        u.append(pw[i] * p[i] - sum(q[j] * pw[j - 1] * u[i - j]
+                                    for j in range(1, i + 1)))
+    return exact(u[k], common * pw[k + 1])
 
 
 # reports print growth constants to this many decimal places, and

@@ -204,12 +204,13 @@ def decompose(spec: CirculantSpec, check_span: int = 2) -> Decomposition:
 
     # Boundary membership: hook edges run between the two windows; new-edge
     # heads are all new vertices, tails sit in the right window or are new.
-    for e in hook:
+    # Sorted, so an error names the least offending edge whatever the hashes.
+    for e in sorted(hook):
         if {e.tail.anchor, e.head.anchor} not in ({"R", "L"}, {"L", "R"}):
             raise InconsistencyError(f"hook edge {e} leaves the boundary windows")
         if s_minus == 0 and not (e.tail.anchor == "R" and e.head.anchor == "L"):
             raise InconsistencyError(f"hook edge {e} not R->L")
-    for e in new:
+    for e in sorted(new):
         if "N" not in (e.tail.anchor, e.head.anchor):
             raise InconsistencyError(f"new edge {e} misses the new column")
         if s_minus == 0 and e.head.anchor != "N":

@@ -1,6 +1,6 @@
-"""Property test: the x^k mod chi(x) evaluator returns what the term-by-term
-loops it replaced return, forward and below the base, plus large-n pins
-against independent values."""
+"""Property test: the halving evaluator returns what the term-by-term loops
+it replaced return, forward and below the base, at orders up to 127, plus
+large-n pins against independent values."""
 import json
 from fractions import Fraction
 
@@ -65,6 +65,30 @@ def recurrences(draw):
     return rec, base + draw(st.integers(-30, 300))
 
 
+def _wide(order: int, rational: bool, zero_tail: bool) -> Recurrence:
+    """A fixed recurrence of the given order, its coefficients in -2..2
+    (over 1..3 when rational), with a trailing 0 when `zero_tail`."""
+    coeffs = [Fraction((7 * j) % 5 - 2, 1 + j % 3 if rational else 1)
+              for j in range(1, order + 1)]
+    if zero_tail:
+        coeffs[-1] = Fraction(0)
+    initials = [Fraction(i % 7 - 3, 1 + i % 2) if rational else i % 7 - 3
+                for i in range(order)]
+    return Recurrence(order, tuple(coeffs), 3, tuple(initials))
+
+
+def _at_wide_orders(test):
+    """Examples at orders 20 and 40, at k = d - 1, d, d + 1 and 5d + 3
+    steps past the base: where the halving loop first runs and well past it."""
+    for rec in (_wide(20, False, True), _wide(20, True, False),
+                _wide(40, False, False), _wide(40, True, True)):
+        d = rec.order
+        for k in (d - 1, d, d + 1, 5 * d + 3):
+            test = hypothesis.example((rec, rec.base + k))(test)
+    return test
+
+
+@_at_wide_orders
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
 @hypothesis.given(recurrences())
 @hypothesis.example((Recurrence(1, (Fraction(0),), 2, (5,)), 2))     # order-1 zero
@@ -77,6 +101,9 @@ def recurrences(draw):
 @hypothesis.example((Recurrence(2, (Fraction(1), Fraction(1, 3)), 4,
                                 (Fraction(1, 2), -1)), 3))
 def test_powering_matches_the_linear_loop(case):
+    """eval_recurrence equals the term-by-term loop on random recurrences of
+    order 1..8 and on fixed ones of order 20 and 40, integer and rational,
+    with and without a zero trailing coefficient, or both refuse."""
     rec, n = case
     try:
         want = linear_eval(rec, n)
@@ -86,6 +113,15 @@ def test_powering_matches_the_linear_loop(case):
         return
     got = eval_recurrence(rec, n)
     assert got == want and type(got) is type(want)
+
+
+def test_order_127_recurrence_matches_the_linear_loop():
+    """The derived {0,1,7} recurrence (order 127) at k = d - 1, d, d + 1 and
+    far past the base."""
+    rec = derive(parse_spec("0,1,7")).recurrence
+    assert rec.order == 127
+    for k in (126, 127, 128, 2000):
+        assert eval_recurrence(rec, rec.base + k) == linear_eval(rec, rec.base + k)
 
 
 def test_eval_at_n_100000_is_lucas_plus_two(capsys):

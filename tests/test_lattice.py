@@ -1,4 +1,8 @@
 """Lattice decomposition: Hook/New sets, n-independence, boundary membership."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from circperm import lattice
@@ -120,6 +124,35 @@ def test_signed_hook_runs_both_ways():
 def test_linear_decompose_requires_normal_form():
     with pytest.raises(InconsistencyError):
         decompose(parse_spec("0,1n+0,2n-1", "3n"))  # offset -1 < s
+
+
+def test_boundary_error_names_the_least_edge_under_any_hash_seed():
+    """An edge outside the boundary windows is named in sorted order, so the
+    message does not depend on the string hashes of a SymEdge set."""
+    code = ("from circperm.circulant import parse_spec\n"
+            "from circperm.lattice import decompose\n"
+            "try:\n"
+            "    decompose(parse_spec('2', '1n-2'), check_span=0)\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__, e)\n")
+    src = os.path.dirname(os.path.dirname(lattice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    messages = {subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": path,
+                                    "PYTHONHASHSEED": seed}).stdout
+                for seed in ("0", "1")}
+    # the hook set decompose checks first, at n = max(2 bar_s, 1)
+    spec = parse_spec("2", "1n-2")
+    s_plus, s_minus, bar_s = lattice._widths(spec)
+    n = max(2 * bar_s, 1)
+    hook = lattice._symbolize_edges(
+        spec, n, circulant_edges(spec, n) - lattice_edges(spec, n),
+        max(s_plus, s_minus), allow_new=False)
+    least = min(e for e in hook
+                if (e.tail.anchor, e.head.anchor) != ("R", "L"))
+    assert messages == {f"InconsistencyError hook edge {least} leaves the "
+                        "boundary windows\n"}
 
 
 def test_lattice_vertex_count_matches_size():
