@@ -71,6 +71,8 @@ def derive(spec: CirculantSpec, budget: Budget = Budget()) -> DeriveResult:
     t = time.perf_counter()
     system = build_transfer_system(dec)
     timings["transfer"] = time.perf_counter() - t
+    timings.update(("transfer." + part, v)
+                   for part, v in system.timings.items())
 
     t = time.perf_counter()
     try:

@@ -11,7 +11,8 @@ The canonical position of a class is left * 2^w + the right mask's index in
 their slot tuples read from slot w-1.  Right masks are grouped by popcount,
 and within a group ordered by their slot tuples read from slot 0, so the
 popcount-k group spans C(w, k) positions.  For w = 2 this is the plain 4-bit
-lexicographic order of the worked example.
+lexicographic order of the worked example; `right_order` sorts once per
+width.
 
 The full transfer matrix A is diag(A-bar, ..., A-bar) with one copy per left
 mask, because extension never touches the left window, so only A-bar is
@@ -19,7 +20,8 @@ stored.  Everything the system is built from counts one kind of object,
 a weighted matching of tails into heads per class, and `_matchings` is
 the one dynamic programme that counts it, over four edge sets: the
 lattice edges of L_{n0} (T0) and of L_{n0+1} (the census that A-bar is
-checked against), the Hook edges (beta) and the New edges (A-bar).  The
+checked against), the Hook edges (beta) and the New edges (A-bar), with
+one retire table per tail for the left bits of its retiring heads.  The
 check pushes T0's nonzero entries through the sparse columns of A-bar and
 compares the result with the census on the union of the two supports.
 Nothing here calls the oracles that `verify` checks the terms against.
@@ -44,8 +46,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import compress, islice
-from operator import add, mul
+from operator import add, mul, sub
+from time import perf_counter
 from typing import Iterable, Sequence
 
 from .algebra import Massey
@@ -57,9 +61,15 @@ from .oracle import ryser_permanent  # unused: bench/tracing.py wraps this name
 
 def right_order(w: int) -> list[int]:
     """The 2^w right masks in canonical order: by popcount, then by slot
-    tuple read from slot 0."""
-    return sorted(range(1 << w),
-                  key=lambda m: (m.bit_count(), [m >> i & 1 for i in range(w)]))
+    tuple read from slot 0.  A fresh list each call; the sort runs once per
+    width."""
+    return list(_right_order(w))
+
+
+@cache
+def _right_order(w: int) -> tuple[int, ...]:
+    return tuple(sorted(range(1 << w), key=lambda m: (
+        m.bit_count(), [m >> i & 1 for i in range(w)])))
 
 
 def _positions(rights: list[int]) -> list[int]:
@@ -96,6 +106,7 @@ class TransferSystem:
     beta: list                        # length 4^w, canonical order
     t0: list                          # length 4^w, canonical order
     scale: int                        # L: dec.spec's weights are L w_i
+    timings: dict[str, float]         # wall time of alpha, beta, t0, check
 
     @property
     def w(self) -> int:
@@ -119,7 +130,10 @@ def _matchings(width: int, out: list[list], rbits: list[int],
     right mask), mapped to the weighted count of the partial matchings that
     reach it, so the cost follows the states, not the matchings.  A head
     retires after its last tail, setting its left bit or, untaken with none,
-    killing the state.
+    killing the state.  The left bits of the heads that retire at a tail
+    come from that tail's retire table, keyed by the subset of them that
+    was taken (at most 2^k entries for k such heads), so each move is a
+    few mask operations and one lookup, tested in place.
     """
     nh, nt = len(lbits), len(out)
     last = [-1] * nh                 # last[h]: the last tail into head h
@@ -128,7 +142,8 @@ def _matchings(width: int, out: list[list], rbits: list[int],
             last[h] = t
     done = [0] * nt                  # heads retiring after tail t
     must = [0] * nt                  # ... of which must be taken
-    lefts: list[list] = [[] for _ in out]  # ... the others, with left bits
+    # ... the others' retire table: taken subset -> OR of its left bits
+    lifts: list[dict] = [{0: 0} for _ in out]
     for h in range(nh):
         if last[h] < 0:
             if not lbits[h]:
@@ -136,29 +151,29 @@ def _matchings(width: int, out: list[list], rbits: list[int],
             continue
         done[last[h]] |= 1 << h
         if lbits[h]:
-            lefts[last[h]].append((1 << h, lbits[h] << nh))
+            lift, hb, lb = lifts[last[h]], 1 << h, lbits[h] << nh
+            lift.update([(k | hb, v | lb) for k, v in lift.items()])
         else:
             must[last[h]] |= 1 << h
 
     # key bits: taken heads by index, then left bits, then right bits
     states = {0: 1}
     for t in range(nt):
-        d, m, ls, rb = done[t], must[t], lefts[t], rbits[t] << nh + width
+        keep, m, rb = ~done[t], must[t], rbits[t] << nh + width
+        lift, ret = lifts[t], done[t] & ~m
         moves = [(1 << h, 1 << h | rb, wt) for h, wt in out[t]]
         step: dict[int, object] = {}
+        get = step.get
         for key, val in states.items():
-            nexts = [(key | add, val * wt) for hb, add, wt in moves
-                     if not key & hb]
-            if rb:
-                nexts.append((key, val))
-            for nk, v in nexts:
-                if nk & m != m:
-                    continue
-                for hb, lb in ls:
-                    if nk & hb:
-                        nk |= lb
-                nk &= ~d
-                step[nk] = step.get(nk, 0) + v
+            for hb, bits, wt in moves:
+                if not key & hb:
+                    nk = key | bits
+                    if nk & m == m:
+                        nk = (nk | lift[nk & ret]) & keep
+                        step[nk] = get(nk, 0) + val * wt
+            if rb and key & m == m:
+                nk = (key | lift[key & ret]) & keep
+                step[nk] = get(nk, 0) + val
         states = step
     full = (1 << width) - 1
     return {(key >> nh & full, key >> nh + width): val
@@ -310,18 +325,26 @@ def verify_against_census(dec: Decomposition, a_bar: list[list],
 def build_transfer_system(dec: Decomposition) -> TransferSystem:
     """A-bar, its blocks, beta and T0, checked against the census at n0+1,
     on the ints L w_i, L the lcm of the weights' denominators (`scale`):
-    the system counts T_L(n) = L^size(n) T(n)."""
+    the system counts T_L(n) = L^size(n) T(n).  The wall time of each of
+    the four parts goes to the system's `timings`."""
     scale = 1
     weights = dec.spec.weights
     if weights is not None:
         scale = math.lcm(*(v.denominator for v in weights))
         dec = replace(dec, spec=replace(dec.spec, weights=tuple(
             v.numerator * (scale // v.denominator) for v in weights)))
+    marks = [perf_counter()]
     a_bar, blocks = build_alpha(dec)
+    marks.append(perf_counter())
     beta = build_beta(dec)
+    marks.append(perf_counter())
     t0 = build_initial(dec)
+    marks.append(perf_counter())
     verify_against_census(dec, a_bar, t0)
-    return TransferSystem(dec, a_bar, blocks, beta, t0, scale)
+    marks.append(perf_counter())
+    timings = dict(zip(("alpha", "beta", "t0", "check"),
+                       map(sub, marks[1:], marks)))
+    return TransferSystem(dec, a_bar, blocks, beta, t0, scale, timings)
 
 
 def pull_rows(entries: Iterable[tuple[int, int, object]],

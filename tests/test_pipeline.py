@@ -15,6 +15,11 @@ def test_derive_records_sizes_and_timings(derived):
     assert res.system.w == 2
     assert set(res.timings) >= {"decompose", "transfer", "annihilator",
                                 "sequence", "recurrence", "growth"}
+    # the transfer build's four parts, inside its total
+    parts = [res.timings["transfer." + part]
+             for part in ("alpha", "beta", "t0", "check")]
+    assert all(v >= 0 for v in parts)
+    assert sum(parts) <= res.timings["transfer"]
 
 
 def test_minimal_order_at_most_annihilator_degree(derived):

@@ -11,7 +11,7 @@ from circperm.circulant import adjacency_matrix, normalize, parse_spec
 from circperm.errors import BlockStructureError, InconsistencyError
 from circperm.lattice import decompose, lattice_edges, lattice_vertices
 from circperm.oracle import enumerate_stats, ryser_permanent
-from circperm.transfer import (build_alpha, build_initial,
+from circperm.transfer import (_right_order, build_alpha, build_initial,
                                build_transfer_system, census, right_order,
                                sequence, verify_against_census,
                                window_vertices)
@@ -57,6 +57,20 @@ def ryser_t0(dec):
                 m[vindex[right_v[b]]][vindex[left_v[a]]] = 1
             t0.append(ryser_permanent(m, max_dim=None))
     return t0
+
+
+def test_right_order_is_sorted_once_per_width():
+    """Every call hands out a fresh list, so a caller that changes one does
+    not change the next; the sort behind them runs once per width."""
+    _right_order.cache_clear()
+    want = right_order(5)
+    got = right_order(5)
+    assert got == want and got is not want
+    got.clear()
+    assert right_order(5) == want
+    assert len(right_order(6)) == 64
+    info = _right_order.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 @pytest.fixture(scope="module")
