@@ -10,10 +10,13 @@ rational annihilator of a rational-weight spec is made once from that
 product, for the report (`pipeline.derive`).  Recurrences are fitted to
 integer terms mod the same primes, lifted to integer coefficients by CRT
 and checked exactly on ints, and evaluated on scaled ints by Bostan-Mori
-halving, whose only product is the schoolbook `_mul`.  Growth
-isolates only the top real root of the characteristic polynomial, on
-ints, and bisects it until its rounding to DECIMALS places is certain, so
-no float enters any reported value.
+halving, whose only product is the schoolbook `_mul`.  Growth seeks
+only the top real root of the characteristic polynomial: a float estimate
+proposes it, and a dyadic bracket about 2^-BRACKET_BITS of it wide is
+certified on ints by two exact signs and one Taylor shift, with no
+rounding edge of the DECIMALS-place grid inside; only when that fails does
+a Descartes search isolate the root and bisect it until its rounding is
+certain.  A float never decides a reported digit.
 """
 from __future__ import annotations
 
@@ -425,8 +428,11 @@ DECIMALS = 10
 class GrowthEstimate:
     """Dominant growth of a recurrence: its dominant root when a theorem
     identifies it among the real roots, else a lower bound on the dominant
-    modulus.  Both are exact rationals, ints when integral: a root, or the
-    midpoint of a certified bracket that holds one."""
+    modulus.  Both are exact rationals, ints when integral, that round to
+    DECIMALS places as the root does: usually the dyadic midpoint of a
+    certified bracket about 2^-BRACKET_BITS of the root wide (an integer
+    root, estimated closely, is its own midpoint); else what the fallback
+    search returns, a root or the midpoint of a bracket that holds one."""
 
     dominant_root: Optional[Fraction | int]
     modulus: Fraction | int
@@ -597,6 +603,168 @@ def _top_root(c: list[int]) -> Optional[Fraction | int]:
     return None
 
 
+# the certificate brackets an estimate of the top root between dyadic points
+# about 2^-BRACKET_BITS of it apart; above degree _WIDE the estimate comes
+# from a power iteration on the recurrence instead of float Newton
+BRACKET_BITS = 40
+_WIDE = 64
+
+
+def _mirror(c: Sequence) -> list:
+    """(-1)^i c_i: the coefficients of c(-x), or from the terms T(b + i)
+    of c's recurrence the terms (-1)^i T(b + i) of the recurrence of
+    c(-x)."""
+    return [-v if i % 2 else v for i, v in enumerate(c)]
+
+
+def _fujiwara(c: list[int]) -> float:
+    """Fujiwara's bound 2 max(|c_(d-i) / c_d|^(1/i), |c_0 / (2 c_d)|^(1/d))
+    on the moduli of the roots of c, taken in logs so that no coefficient
+    need fit a float (0.0 for a power of x)."""
+    d, lead = len(c) - 1, math.log(abs(c[-1]))
+    logs = [(math.log(abs(v)) - lead - (i == 0) * math.log(2)) / (d - i)
+            for i, v in enumerate(c[:-1]) if v]
+    return 2 * math.exp(max(logs)) if logs else 0.0
+
+
+def _newton_from_above(c: list[int]) -> Optional[float]:
+    """Newton's iteration on c (leading coefficient > 0) in floats, down
+    from Fujiwara's bound.  When no root z of c has Re z above its top
+    positive root rho (Pringsheim, for a nonnegative sequence), c'/c =
+    sum_z 1/(x - z) >= 1/(x - rho) at every x > rho, so no step overshoots
+    rho and the iterates fall to it.  None when a value leaves the floats
+    or the iteration does not settle."""
+    try:
+        down = [v / c[-1] for v in reversed(c)]
+    except OverflowError:
+        return None
+    x = _fujiwara(c)
+    for _ in range(8 * len(c) + 64):
+        p = dp = 0.0
+        for v in down:
+            p, dp = p * x + v, dp * x + p
+        if not (math.isfinite(p) and math.isfinite(dp) and dp > 0):
+            return None
+        step = p / dp
+        if step <= x * 2 ** -52:          # settled, or past rho by rounding
+            return x
+        x -= step
+    return None
+
+
+def _power_ratio(c: list[int], seeds: Sequence) -> Optional[float]:
+    """T(n) / T(n-1) in floats, where c's recurrence runs T forward from
+    the seeds T(0..d-1), scaled to floats: the dominant root when one real
+    root dominates (Pringsheim, for nonnegative terms).  It stops once two
+    ratios in a row agree to 2^-20, or after 4d + 64 steps."""
+    top = max(map(abs, seeds), default=0)
+    if not top:
+        return None
+    try:
+        weights = [-v / c[-1] for v in c[:-1]]
+    except OverflowError:
+        return None
+    scale = Fraction(2) ** (top.denominator.bit_length()
+                            - top.numerator.bit_length())
+    window, ratio = [float(v * scale) for v in seeds], None
+    for _ in range(4 * len(c) + 60):
+        t = sum(map(mul, weights, window))
+        if not math.isfinite(t):
+            return None
+        prev, ratio = ratio, t / window[-1] if window[-1] else None
+        if ratio is not None and prev is not None \
+                and abs(ratio - prev) <= abs(ratio) * 2 ** -20:
+            return ratio
+        window.append(t)
+        del window[0]
+        if t and not 2 ** -500 < abs(t) < 2 ** 500:
+            window = [v / t for v in window]
+    return ratio
+
+
+def _polish(c: list[int], x: Optional[float]) -> Optional[float]:
+    """x after at most 8 Newton steps on c whose c(x) and c'(x) are exact
+    (`_value` at x, a dyadic rational), each step rounded to a float, so
+    that no cancellation in c(x) limits the result; None when x or a step
+    is not a finite float."""
+    dc = [i * v for i, v in enumerate(c)][1:]
+    for _ in range(8):
+        if x is None or not math.isfinite(x):
+            return None
+        num, den = x.as_integer_ratio()
+        slope = _value(dc, num, den) * den
+        if not slope:
+            break
+        try:
+            step = _value(c, num, den) / slope
+        except OverflowError:
+            return None
+        x -= step
+        if abs(step) <= abs(x) * 2 ** -50:
+            break
+    return x
+
+
+def _estimate(c: list[int], seeds: Sequence) -> Optional[float]:
+    """A float estimate of the top positive root of c (leading coefficient
+    > 0), or None: `_newton_from_above` up to degree _WIDE, and above it,
+    where float Horner overflows or cancels, `_power_ratio` on c's
+    recurrence seeded with `seeds`, then `_polish`."""
+    if len(c) - 1 <= _WIDE:
+        return _newton_from_above(c)
+    return _polish(c, _power_ratio(c, seeds))
+
+
+def _bracket(c: list[int], x) -> Optional[Fraction | int]:
+    """The midpoint m / 2^k of the bracket (lo, hi) = (m - 2, m + 2) / 2^k
+    about the estimate x, 2^(BRACKET_BITS+1) <= x 2^k < 2^(BRACKET_BITS+2)
+    (k >= 0), when the bracket is certified to hold the top positive root
+    of c (leading coefficient > 0) and to settle its rounding; else None.
+    Certified means, cheapest check first:
+
+    * no rounding edge (s + 1/2) / 10^DECIMALS lies in (lo, hi), so every
+      point of the bracket rounds alike to DECIMALS places;
+    * c(lo) < 0 < c(hi), so a root lies in (lo, hi);
+    * 2^(kd) c((y + m + 2) / 2^k), one Taylor shift, has no negative
+      coefficient, so it is > 0 for every y >= 0 and no root is >= hi.
+    """
+    if x is None or not 0 < x < math.inf:
+        return None
+    k = max(0, BRACKET_BITS + 2 - math.frexp(x)[1])
+    m, den, cell = round(math.ldexp(x, k)), 1 << k, 10 ** DECIMALS
+    lo, hi = m - 2, m + 2
+    # the cells of the decimal grid that hold lo from the right and hi from
+    # the left: equal once no edge is inside
+    if (2 * lo * cell + den) >> k + 1 != -((den - 2 * hi * cell) >> k + 1):
+        return None
+    if not _value(c, lo, den) < 0 < _value(c, hi, den):
+        return None
+    d = len(c) - 1
+    scaled = [v << k * (d - i) for i, v in enumerate(c)]       # 2^(kd) c(y / 2^k)
+    if min(_taylor_shift(scaled, hi)) < 0:
+        return None
+    return exact(m, den)
+
+
+def _top(c: list[int], seeds: Sequence) -> Optional[Fraction | int]:
+    """The largest positive root of the integer polynomial c, or None when
+    it has none, rounding to DECIMALS places as `_top_root(_squarefree(c))`
+    does.
+
+    With c signed to lead > 0, nonzero coefficients of one sign leave no
+    positive root (Descartes).  Else an estimate (`_estimate`) is tried
+    against its certificate (`_bracket`), and only when that fails (a
+    repeated or clustered top root, a rounding edge in the bracket, an
+    estimate that is off or missing) does the Descartes search of
+    `_top_root` run on c's squarefree part."""
+    if c[-1] < 0:
+        c = [-v for v in c]
+    if min(c) >= 0:
+        return None
+    root = _bracket(c, _estimate(c, seeds))
+    return _top_root(_squarefree(c)) if root is None else root
+
+
 def growth(rec: Recurrence, nonneg: bool) -> GrowthEstimate:
     """Dominant growth of `rec`, the minimal recurrence of a sequence, from
     the top real roots of its characteristic polynomial chi.
@@ -605,22 +773,26 @@ def growth(rec: Recurrence, nonneg: bool) -> GrowthEstimate:
     singularity at its radius of convergence (Pringsheim; Flajolet-Sedgewick,
     Analytic Combinatorics, Thm IV.6).  As chi is minimal, its nonzero
     roots are exactly the reciprocals of the poles, so the largest positive
-    real root has the largest modulus and is reported as dominant (0 when
-    there is none).  Without `nonneg` a non-real pair may dominate: the
+    real root rho has the largest modulus and is reported as dominant (0
+    when there is none).  Without `nonneg` a non-real pair may dominate: the
     largest |real root| is then reported as a lower bound on the dominant
     modulus (0 if chi has no nonzero real root), and no dominant root is
-    claimed.  Only those roots are sought: _top_root on chi's squarefree
-    part, and for the lower bound on its mirror chi(-x) too, each
-    certified and bracketed until its rounding to DECIMALS places is
-    certain.
+    claimed.  Only those roots are sought, by `_top` on chi, and for the
+    lower bound on its mirror chi(-x) too: estimate, then certificate, then
+    fallback.  The estimate is a float; with `nonneg` every root z has
+    Re z <= rho, so Newton's iteration from above never overshoots rho.
+    The certificate is exact, a bracket about 2^-BRACKET_BITS of rho wide
+    whose midpoint is reported.  The fallback, when the certificate fails,
+    is the Descartes search `_top_root` on the squarefree part.  Either
+    answer rounds to DECIMALS places as the root does.
     """
     scale = math.lcm(*(c.denominator for c in rec.coeffs))
-    chi = _squarefree([int(-c * scale) for c in reversed(rec.coeffs)] + [scale])
-    top = _top_root(chi)
+    chi = [int(-c * scale) for c in reversed(rec.coeffs)] + [scale]
+    top = _top(chi, rec.initials)
     if nonneg:
         best = 0 if top is None else top
         return GrowthEstimate(best, best, 1e-9, "largest-modulus real root")
-    mirror = _top_root([-v if i % 2 else v for i, v in enumerate(chi)])
+    mirror = _top(_mirror(chi), _mirror(rec.initials))
     best = max((r for r in (top, mirror) if r is not None), default=0)
     return GrowthEstimate(None, best, 1e-9,
                           "terms may be negative: largest |real root|, "

@@ -1,5 +1,6 @@
 """Exact algebra: characteristic polynomials, annihilators, recurrences,
-dominant-root estimation."""
+dominant-root estimation, and the certificate that finds the top root
+without the Descartes search."""
 import math
 import random
 from fractions import Fraction
@@ -246,3 +247,80 @@ def test_squarefree_after_an_unlucky_prime_is_the_prs_answer(monkeypatch):
     _up_to_sign(_squarefree(chi), chi)
     assert len(calls) == 1
     assert _top_root(_squarefree(chi)) == q
+
+
+def _searches(monkeypatch) -> list:
+    """Record each call of the Descartes search `_top_root`, which `_top`
+    falls back on when its certificate fails."""
+    calls, search = [], algebra._top_root
+    monkeypatch.setattr(algebra, "_top_root", lambda c: calls.append(c) or search(c))
+    return calls
+
+
+E = F(161803398875, 10 ** 11)         # a rounding edge of the 10-decimal grid
+
+
+@pytest.mark.parametrize("c, certified", [
+    (_mul([4, -4, 1], [1, 1]), False),                    # (x - 2)^2 (x + 1)
+    (_mul([-2, 1], [4000002, -4000001, 1000000]), None),  # 2 and 2 + 10^-6
+    ([int(c * 10 ** 11) for c in (E, E - 1, -1 - E, 1)], False),  # E itself
+    (_mirror(_mul([-1, 1], [3, 7, 2])), True),            # odd degree: -(x + 1)(x - 3)(2x - 1)
+    (_mul([1, 1], [2, 1]), True),                         # roots -1, -2: none positive
+    ([1, -1, 1], False),                                  # x^2 - x + 1: none real
+    ([-1, -1, 1], False),                                 # phi, 1.05e-13 below an edge
+])
+def test_top_gives_todays_answer_certified_or_not(monkeypatch, c, certified):
+    want = _top_root(_squarefree(c))
+    calls = _searches(monkeypatch)
+    got = algebra._top(c, ())
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert decimal_str(got) == decimal_str(want)
+    if certified is False:      # the search ran, and its answer stands as it is
+        assert len(calls) == 1 and got == want
+    elif certified:
+        assert calls == []
+
+
+@pytest.mark.parametrize("off", [1e-3, -1e-3, "0", "-1", "nan", "inf", None])
+def test_growth_falls_back_on_a_bad_estimate(monkeypatch, derived, off):
+    rec = derived("0,2,5", None, None).recurrence
+    want = growth(rec, nonneg=True)
+    rho = float(want.dominant_root)
+    bad = None if off is None else rho + off if isinstance(off, float) else float(off)
+    monkeypatch.setattr(algebra, "_estimate", lambda c, seeds: bad)
+    calls = _searches(monkeypatch)
+    got = growth(rec, nonneg=True)
+    assert decimal_str(got.dominant_root) == decimal_str(want.dominant_root) == "1.4092352350"
+    assert len(calls) == 1
+
+
+def test_an_estimate_on_a_lower_root_is_not_certified(monkeypatch):
+    # c changes sign from - to + at 1 as at 3, so only the Taylor shift at
+    # the bracket's top end sees the roots above it
+    c = _mul(_mul([-1, 1], [-2, 1]), [-3, 1])           # (x - 1)(x - 2)(x - 3)
+    monkeypatch.setattr(algebra, "_estimate", lambda c, seeds: 1.0)
+    calls = _searches(monkeypatch)
+    assert algebra._top(c, ()) == 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("jumps, weights, root, modulus", [
+    ("0,2,5", None, "1.4092352350", "1.4092352350"),
+    ("0,1,4", None, "1.4012683679", "1.4012683679"),
+    ("0,2,3,4", None, "1.8558859987", "1.8558859987"),
+    ("1,2,4", "1/2,3,-1", None, "2.9716904563"),      # chi and its mirror
+    ("0,1,7", None, "1.3887275744", "1.3887275744"),  # degree 127: power iteration
+    ("0,1,4,7", None, "1.7831027548", "1.7831027548"),
+])
+def test_growth_is_certified_without_the_search(monkeypatch, derived, jumps,
+                                                weights, root, modulus):
+    def refuse(c):
+        raise AssertionError("the certificate fell back on the Descartes search")
+
+    rec = derived(jumps, None, weights).recurrence
+    monkeypatch.setattr(algebra, "_squarefree", refuse)
+    monkeypatch.setattr(algebra, "_top_root", refuse)
+    g = growth(rec, nonneg=weights is None)
+    assert (None if g.dominant_root is None else decimal_str(g.dominant_root)) == root
+    assert decimal_str(g.modulus) == modulus

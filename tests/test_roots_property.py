@@ -1,13 +1,15 @@
-"""Property test: the Descartes-rule top-root search returns the largest
+"""Property tests: the Descartes-rule top-root search returns the largest
 positive root of a polynomial whose roots are known by construction, and
 on its mirror p(-x) the modulus of the most negative one, each with the
-10-decimal rounding of the true root."""
+10-decimal rounding of the true root; the certified path that `growth`
+tries first agrees with it, and its bracket holds the planted root."""
 import math
 from fractions import Fraction
 
 import pytest
 
-from circperm.algebra import _squarefree, _top_root
+from circperm.algebra import (BRACKET_BITS, _bracket, _estimate, _mirror,
+                              _squarefree, _top, _top_root)
 from circperm.report import decimal_str
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -98,3 +100,27 @@ def test_top_planted_root_comes_back_on_both_sides(case):
     _check(_top_root(chi), max((r for r in roots if r > 0), default=None))
     mirror = [-c if i % 2 else c for i, c in enumerate(chi)]
     _check(_top_root(mirror), max((-r for r in roots if r < 0), default=None))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(planted())
+@hypothesis.example(([Fraction(0), Fraction(-4), Fraction(0), Fraction(1)],   # x^3 - 4x
+                     [Fraction(-2), Fraction(0), Fraction(2)]))
+def test_certified_top_root_agrees_with_the_search_and_brackets_the_root(case):
+    coeffs, roots = case
+    chi = _ints(coeffs)
+    for c, top in ((chi, max((r for r in roots if r > 0), default=None)),
+                   (_mirror(chi), max((-r for r in roots if r < 0), default=None))):
+        got, want = _top(c, ()), _top_root(_squarefree(c))
+        _check(got, top)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert decimal_str(got) == decimal_str(want)
+        lead = c if c[-1] > 0 else [-v for v in c]
+        x = _estimate(lead, ())
+        if _bracket(lead, x) is not None:
+            # the bracket (m - 2, m + 2) / 2^k that `_bracket` certified
+            k = max(0, BRACKET_BITS + 2 - math.frexp(x)[1])
+            m = round(math.ldexp(x, k))
+            assert Fraction(m - 2, 1 << k) < top < Fraction(m + 2, 1 << k)
+            assert got == Fraction(m, 1 << k)
