@@ -11,16 +11,18 @@ product, for the report (`pipeline.derive`).  Recurrences are fitted to
 integer terms mod the same primes, lifted to integer coefficients by CRT
 and checked exactly on ints, and evaluated on scaled ints by Bostan-Mori
 halving, whose only product is the schoolbook `_mul`.  Growth seeks
-only the top real root of the characteristic polynomial: a float estimate
-proposes it, and a dyadic bracket about 2^-BRACKET_BITS of it wide is
-certified on ints by two exact signs and one Taylor shift, with no
-rounding edge of the DECIMALS-place grid inside; only when that fails does
-a Descartes search isolate the root and bisect it until its rounding is
-certain.  A float never decides a reported digit.
+only the top real root of the characteristic polynomial: float Newton from
+above, on it scaled by a power of two at any degree, proposes it, and a
+dyadic bracket about 2^-BRACKET_BITS of it wide is certified on ints by
+two exact signs and one Taylor shift, with no rounding edge of the
+DECIMALS-place grid inside; only when that fails does a Descartes search
+isolate the root and bisect it until its rounding is certain.  A float
+never decides a reported digit.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -424,6 +426,15 @@ def eval_recurrence(rec: Recurrence, n: int):
 DECIMALS = 10
 
 
+def _grid_cells(lo: int, hi: int, k: int) -> tuple[int, int]:
+    """The 10^-DECIMALS grid cells that hold lo / 2^k from the right and
+    hi / 2^k from the left: equal when no rounding edge lies between, else
+    for ends within a cell the one edge is (first + 1/2) / 10^DECIMALS."""
+    cell = 10 ** DECIMALS
+    return ((2 * lo * cell + (1 << k)) >> k + 1,
+            -(((1 << k) - 2 * hi * cell) >> k + 1))
+
+
 @dataclass(frozen=True)
 class GrowthEstimate:
     """Dominant growth of a recurrence: its dominant root when a theorem
@@ -569,11 +580,7 @@ def _top_root(c: list[int]) -> Optional[Fraction | int]:
         tried = None
         while True:
             if cell << b <= 1 << k:
-                # the cells of the decimal grid that hold the left end from
-                # the right and the right end from the left: equal once no
-                # edge is inside, else the one edge is (below + 1/2) / cell
-                below = ((2 * m * cell << b) + (1 << k)) >> k + 1
-                above = -(((1 << k) - (2 * (m + 1) * cell << b)) >> k + 1)
+                below, above = _grid_cells(m << b, (m + 1) << b, k)
                 if below == above:
                     break
                 if below != tried:
@@ -604,82 +611,55 @@ def _top_root(c: list[int]) -> Optional[Fraction | int]:
 
 
 # the certificate brackets an estimate of the top root between dyadic points
-# about 2^-BRACKET_BITS of it apart; above degree _WIDE the estimate comes
-# from a power iteration on the recurrence instead of float Newton
+# about 2^-BRACKET_BITS of it apart
 BRACKET_BITS = 40
-_WIDE = 64
 
 
 def _mirror(c: Sequence) -> list:
-    """(-1)^i c_i: the coefficients of c(-x), or from the terms T(b + i)
-    of c's recurrence the terms (-1)^i T(b + i) of the recurrence of
-    c(-x)."""
+    """(-1)^i c_i: the coefficients of c(-x), whose positive roots are the
+    negatives of c's negative ones."""
     return [-v if i % 2 else v for i, v in enumerate(c)]
 
 
 def _fujiwara(c: list[int]) -> float:
-    """Fujiwara's bound 2 max(|c_(d-i) / c_d|^(1/i), |c_0 / (2 c_d)|^(1/d))
-    on the moduli of the roots of c, taken in logs so that no coefficient
-    need fit a float (0.0 for a power of x)."""
-    d, lead = len(c) - 1, math.log(abs(c[-1]))
-    logs = [(math.log(abs(v)) - lead - (i == 0) * math.log(2)) / (d - i)
+    """log2 of Fujiwara's bound 2 max(|c_(d-i) / c_d|^(1/i),
+    |c_0 / (2 c_d)|^(1/d)) on the moduli of the roots of c, so that
+    neither a coefficient nor the bound need fit a float (-inf for a power
+    of x)."""
+    d, lead = len(c) - 1, math.log2(abs(c[-1]))
+    logs = [(math.log2(abs(v)) - lead - (i == 0)) / (d - i)
             for i, v in enumerate(c[:-1]) if v]
-    return 2 * math.exp(max(logs)) if logs else 0.0
+    return 1 + max(logs, default=-math.inf)
 
 
 def _newton_from_above(c: list[int]) -> Optional[float]:
-    """Newton's iteration on c (leading coefficient > 0) in floats, down
-    from Fujiwara's bound.  When no root z of c has Re z above its top
-    positive root rho (Pringsheim, for a nonnegative sequence), c'/c =
-    sum_z 1/(x - z) >= 1/(x - rho) at every x > rho, so no step overshoots
-    rho and the iterates fall to it.  None when a value leaves the floats
-    or the iteration does not settle."""
-    try:
-        down = [v / c[-1] for v in reversed(c)]
-    except OverflowError:
+    """Newton's iteration in floats on c (leading coefficient > 0), down
+    from Fujiwara's bound F, run on c(Rt) / (c_d R^d) from t = F / R, the
+    least R = 2^e >= F (e >= 0): its coefficients c_(d-i) / (c_d R^i) are
+    at most 2^(1-i) in size, so no value overflows at any degree.
+    When no root z of c has Re z above its top positive root rho
+    (Pringsheim, for a nonnegative sequence), c'/c = sum_z 1/(x - z) >=
+    1/(x - rho) at every x > rho, so no step overshoots rho and the
+    iterates fall to it.  None when R leaves the floats, so that rho may
+    too, when a value is not finite or when the iteration does not
+    settle."""
+    f = _fujiwara(c)
+    e = math.ceil(max(f, 0.0))
+    if e >= sys.float_info.max_exp:
         return None
-    x = _fujiwara(c)
+    down = [v / (c[-1] << e * i) for i, v in enumerate(reversed(c))]
+    t = 2 ** (f - e)
     for _ in range(8 * len(c) + 64):
         p = dp = 0.0
         for v in down:
-            p, dp = p * x + v, dp * x + p
+            p, dp = p * t + v, dp * t + p
         if not (math.isfinite(p) and math.isfinite(dp) and dp > 0):
             return None
         step = p / dp
-        if step <= x * 2 ** -52:          # settled, or past rho by rounding
-            return x
-        x -= step
+        if step <= t * 2 ** -52:          # settled, or past rho by rounding
+            return math.ldexp(t, e)
+        t -= step
     return None
-
-
-def _power_ratio(c: list[int], seeds: Sequence) -> Optional[float]:
-    """T(n) / T(n-1) in floats, where c's recurrence runs T forward from
-    the seeds T(0..d-1), scaled to floats: the dominant root when one real
-    root dominates (Pringsheim, for nonnegative terms).  It stops once two
-    ratios in a row agree to 2^-20, or after 4d + 64 steps."""
-    top = max(map(abs, seeds), default=0)
-    if not top:
-        return None
-    try:
-        weights = [-v / c[-1] for v in c[:-1]]
-    except OverflowError:
-        return None
-    scale = Fraction(2) ** (top.denominator.bit_length()
-                            - top.numerator.bit_length())
-    window, ratio = [float(v * scale) for v in seeds], None
-    for _ in range(4 * len(c) + 60):
-        t = sum(map(mul, weights, window))
-        if not math.isfinite(t):
-            return None
-        prev, ratio = ratio, t / window[-1] if window[-1] else None
-        if ratio is not None and prev is not None \
-                and abs(ratio - prev) <= abs(ratio) * 2 ** -20:
-            return ratio
-        window.append(t)
-        del window[0]
-        if t and not 2 ** -500 < abs(t) < 2 ** 500:
-            window = [v / t for v in window]
-    return ratio
 
 
 def _polish(c: list[int], x: Optional[float]) -> Optional[float]:
@@ -705,14 +685,10 @@ def _polish(c: list[int], x: Optional[float]) -> Optional[float]:
     return x
 
 
-def _estimate(c: list[int], seeds: Sequence) -> Optional[float]:
+def _estimate(c: list[int]) -> Optional[float]:
     """A float estimate of the top positive root of c (leading coefficient
-    > 0), or None: `_newton_from_above` up to degree _WIDE, and above it,
-    where float Horner overflows or cancels, `_power_ratio` on c's
-    recurrence seeded with `seeds`, then `_polish`."""
-    if len(c) - 1 <= _WIDE:
-        return _newton_from_above(c)
-    return _polish(c, _power_ratio(c, seeds))
+    > 0), or None: `_newton_from_above`, then `_polish` on exact values."""
+    return _polish(c, _newton_from_above(c))
 
 
 def _bracket(c: list[int], x) -> Optional[Fraction | int]:
@@ -731,13 +707,10 @@ def _bracket(c: list[int], x) -> Optional[Fraction | int]:
     if x is None or not 0 < x < math.inf:
         return None
     k = max(0, BRACKET_BITS + 2 - math.frexp(x)[1])
-    m, den, cell = round(math.ldexp(x, k)), 1 << k, 10 ** DECIMALS
+    m, den = round(math.ldexp(x, k)), 1 << k
     lo, hi = m - 2, m + 2
-    # the cells of the decimal grid that hold lo from the right and hi from
-    # the left: equal once no edge is inside
-    if (2 * lo * cell + den) >> k + 1 != -((den - 2 * hi * cell) >> k + 1):
-        return None
-    if not _value(c, lo, den) < 0 < _value(c, hi, den):
+    below, above = _grid_cells(lo, hi, k)
+    if below != above or not _value(c, lo, den) < 0 < _value(c, hi, den):
         return None
     d = len(c) - 1
     scaled = [v << k * (d - i) for i, v in enumerate(c)]       # 2^(kd) c(y / 2^k)
@@ -746,7 +719,7 @@ def _bracket(c: list[int], x) -> Optional[Fraction | int]:
     return exact(m, den)
 
 
-def _top(c: list[int], seeds: Sequence) -> Optional[Fraction | int]:
+def _top(c: list[int]) -> Optional[Fraction | int]:
     """The largest positive root of the integer polynomial c, or None when
     it has none, rounding to DECIMALS places as `_top_root(_squarefree(c))`
     does.
@@ -761,7 +734,7 @@ def _top(c: list[int], seeds: Sequence) -> Optional[Fraction | int]:
         c = [-v for v in c]
     if min(c) >= 0:
         return None
-    root = _bracket(c, _estimate(c, seeds))
+    root = _bracket(c, _estimate(c))
     return _top_root(_squarefree(c)) if root is None else root
 
 
@@ -779,20 +752,21 @@ def growth(rec: Recurrence, nonneg: bool) -> GrowthEstimate:
     modulus (0 if chi has no nonzero real root), and no dominant root is
     claimed.  Only those roots are sought, by `_top` on chi, and for the
     lower bound on its mirror chi(-x) too: estimate, then certificate, then
-    fallback.  The estimate is a float; with `nonneg` every root z has
-    Re z <= rho, so Newton's iteration from above never overshoots rho.
-    The certificate is exact, a bracket about 2^-BRACKET_BITS of rho wide
-    whose midpoint is reported.  The fallback, when the certificate fails,
-    is the Descartes search `_top_root` on the squarefree part.  Either
-    answer rounds to DECIMALS places as the root does.
+    fallback.  The estimate is a float, Newton's iteration from above on
+    chi scaled by a power of two; with `nonneg` every root z has Re z <=
+    rho, so it never overshoots rho.  The certificate is exact, a bracket
+    about 2^-BRACKET_BITS of rho wide whose midpoint is reported.  The
+    fallback, when the certificate fails, is the Descartes search
+    `_top_root` on the squarefree part.  Either answer rounds to DECIMALS
+    places as the root does.
     """
     scale = math.lcm(*(c.denominator for c in rec.coeffs))
     chi = [int(-c * scale) for c in reversed(rec.coeffs)] + [scale]
-    top = _top(chi, rec.initials)
+    top = _top(chi)
     if nonneg:
         best = 0 if top is None else top
         return GrowthEstimate(best, best, 1e-9, "largest-modulus real root")
-    mirror = _top(_mirror(chi), _mirror(rec.initials))
+    mirror = _top(_mirror(chi))
     best = max((r for r in (top, mirror) if r is not None), default=0)
     return GrowthEstimate(None, best, 1e-9,
                           "terms may be negative: largest |real root|, "

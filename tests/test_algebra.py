@@ -272,7 +272,7 @@ E = F(161803398875, 10 ** 11)         # a rounding edge of the 10-decimal grid
 def test_top_gives_todays_answer_certified_or_not(monkeypatch, c, certified):
     want = _top_root(_squarefree(c))
     calls = _searches(monkeypatch)
-    got = algebra._top(c, ())
+    got = algebra._top(c)
     assert (got is None) == (want is None)
     if want is not None:
         assert decimal_str(got) == decimal_str(want)
@@ -288,7 +288,7 @@ def test_growth_falls_back_on_a_bad_estimate(monkeypatch, derived, off):
     want = growth(rec, nonneg=True)
     rho = float(want.dominant_root)
     bad = None if off is None else rho + off if isinstance(off, float) else float(off)
-    monkeypatch.setattr(algebra, "_estimate", lambda c, seeds: bad)
+    monkeypatch.setattr(algebra, "_estimate", lambda c: bad)
     calls = _searches(monkeypatch)
     got = growth(rec, nonneg=True)
     assert decimal_str(got.dominant_root) == decimal_str(want.dominant_root) == "1.4092352350"
@@ -299,10 +299,27 @@ def test_an_estimate_on_a_lower_root_is_not_certified(monkeypatch):
     # c changes sign from - to + at 1 as at 3, so only the Taylor shift at
     # the bracket's top end sees the roots above it
     c = _mul(_mul([-1, 1], [-2, 1]), [-3, 1])           # (x - 1)(x - 2)(x - 3)
-    monkeypatch.setattr(algebra, "_estimate", lambda c, seeds: 1.0)
+    monkeypatch.setattr(algebra, "_estimate", lambda c: 1.0)
     calls = _searches(monkeypatch)
-    assert algebra._top(c, ()) == 3
+    assert algebra._top(c) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("c", [
+    _mul([-10 ** 400, 1], [1, 1]),                    # root 10^400: no float holds it
+    _mul([-3, 1], _mul([10 ** 200, 1], [10 ** 200, 1])),  # root 3, a 3 10^400 coefficient
+    _mul([-2, 0, 1], [10 ** 400, 1]),                 # root sqrt 2 next to -10^400
+])
+def test_top_of_a_chi_beyond_the_floats(c):
+    # Fujiwara's bound leaves the floats: no estimate, or one on c scaled by
+    # a power of two, and the answer is the search's
+    assert decimal_str(algebra._top(c)) == decimal_str(_top_root(_squarefree(c)))
+
+
+@pytest.mark.parametrize("weights, nonneg", [("1e400,1,1", True), ("-1e400,1,1", False)])
+def test_growth_of_a_weight_beyond_the_floats(derived, weights, nonneg):
+    g = growth(derived("0,1,2", None, weights).recurrence, nonneg=nonneg)
+    assert g.modulus == 10 ** 400
 
 
 @pytest.mark.parametrize("jumps, weights, root, modulus", [
@@ -310,8 +327,12 @@ def test_an_estimate_on_a_lower_root_is_not_certified(monkeypatch):
     ("0,1,4", None, "1.4012683679", "1.4012683679"),
     ("0,2,3,4", None, "1.8558859987", "1.8558859987"),
     ("1,2,4", "1/2,3,-1", None, "2.9716904563"),      # chi and its mirror
-    ("0,1,7", None, "1.3887275744", "1.3887275744"),  # degree 127: power iteration
+    ("0,1,7", None, "1.3887275744", "1.3887275744"),  # degree 127: scaled Newton
     ("0,1,4,7", None, "1.7831027548", "1.7831027548"),
+    ("0,2,7", "1/3,2,-1", None, "2.0001927629"),      # degree 128, chi and its mirror
+    ("0,1,8", "1,-1,1", None, "1.3920674885"),        # degree 223
+    ("0,3,8", "1/2,-2,5", None, "5.0000000000"),      # degree 256, an integer root
+    ("0,1,4,7", "1,-1,1,1", None, "1.2498515889"),
 ])
 def test_growth_is_certified_without_the_search(monkeypatch, derived, jumps,
                                                 weights, root, modulus):

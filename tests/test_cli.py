@@ -93,6 +93,11 @@ _MOMENTS = ["moments", "--jumps", "-1,0,1", "--order", "1"]
     # entries on that string
     ("verify_stopped.json", ["verify", "--jumps", "0,1,2", "--n-max", "30",
                              "--out", "json"]),
+    # degree 128: chi and its mirror both estimated on the scaled polynomial
+    ("growth_wide_signed.json", ["growth", "--jumps", "0,2,7", "--weights",
+                                 "1/3,2,-1", "--out", "json"]),
+    ("growth_wide_signed.txt", ["growth", "--jumps", "0,2,7", "--weights",
+                                "1/3,2,-1"]),
 ])
 def test_printer_output_is_pinned(capsys, name, argv):
     """Each printer's output stays byte-identical from change to change,

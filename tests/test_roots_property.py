@@ -111,13 +111,13 @@ def test_certified_top_root_agrees_with_the_search_and_brackets_the_root(case):
     chi = _ints(coeffs)
     for c, top in ((chi, max((r for r in roots if r > 0), default=None)),
                    (_mirror(chi), max((-r for r in roots if r < 0), default=None))):
-        got, want = _top(c, ()), _top_root(_squarefree(c))
+        got, want = _top(c), _top_root(_squarefree(c))
         _check(got, top)
         assert (got is None) == (want is None)
         if want is not None:
             assert decimal_str(got) == decimal_str(want)
         lead = c if c[-1] > 0 else [-v for v in c]
-        x = _estimate(lead, ())
+        x = _estimate(lead)
         if _bracket(lead, x) is not None:
             # the bracket (m - 2, m + 2) / 2^k that `_bracket` certified
             k = max(0, BRACKET_BITS + 2 - math.frexp(x)[1])
